@@ -114,7 +114,35 @@ inline void note_host_touch(const void* p, std::size_t elem, index_t rows,
   detail::host_touch_slow(p, elem, rows, cols, ld, write);
 }
 
+/// Snapshot of a thread's task context. A hybrid::Team helper runs its
+/// chunks of a kernel inside the dispatching worker's context, so to the
+/// checker the helper is part of the same task (same stream, ticket,
+/// declared effects and device).
+using TaskContext = detail::ThreadCtx;
+inline TaskContext current_context() noexcept { return detail::t_ctx; }
+
+/// RAII: make `ctx` the calling thread's task context for the scope.
+class ContextScope {
+ public:
+  explicit ContextScope(const TaskContext& ctx) noexcept : prev_(detail::t_ctx) {
+    detail::t_ctx = ctx;
+  }
+  ~ContextScope() { detail::t_ctx = prev_; }
+  ContextScope(const ContextScope&) = delete;
+  ContextScope& operator=(const ContextScope&) = delete;
+
+ private:
+  TaskContext prev_;
+};
+
 #else  // !FTH_CHECK_ENABLED — every hook vanishes.
+
+struct TaskContext {};
+inline TaskContext current_context() noexcept { return {}; }
+class ContextScope {
+ public:
+  explicit ContextScope(const TaskContext&) noexcept {}
+};
 
 inline constexpr bool active() noexcept { return false; }
 inline constexpr bool in_task_context() noexcept { return false; }

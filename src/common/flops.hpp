@@ -44,6 +44,11 @@ inline std::uint64_t count() noexcept { return detail::g_count.load(std::memory_
 /// take deltas). Plain thread-local, so it is cheaper than the global add.
 inline std::uint64_t thread_count() noexcept { return detail::t_count; }
 
+/// Attribute `n` FLOPs, already in the global count, to the calling thread.
+/// A device kernel team's dispatcher credits its helpers' work this way, so
+/// per-thread attribution sees the whole kernel on the worker that ran it.
+inline void credit_thread(std::uint64_t n) noexcept { detail::t_count += n; }
+
 /// Reset the counter to zero.
 inline void reset() noexcept { detail::g_count.store(0, std::memory_order_relaxed); }
 

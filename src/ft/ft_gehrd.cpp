@@ -299,9 +299,9 @@ class FtDriver {
                  [this, dv, ones_v, vrows, ib] {
         WallTimer t;
         auto dvh = dv.in_task();
-        blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(dvh.block(0, 0, vrows, ib)),
-                   VectorView<const double>(ones_v.in_task()), 0.0,
-                   dvh.row(vrows).sub(0, ib));
+        const auto v = MatrixView<const double>(dvh.block(0, 0, vrows, ib));
+        const auto x = VectorView<const double>(ones_v.in_task());
+        hybrid::par::gemv(dev_.team(), Trans::Yes, 1.0, v, x, 0.0, dvh.row(vrows).sub(0, ib));
         chk_update_seconds_ += t.seconds();
       });
 
@@ -320,8 +320,8 @@ class FtDriver {
         auto eh = e.in_task();
         auto chk_seg = VectorView<const double>(eh.row(n_).sub(i + 1, vrows));
         auto ychk = dy.in_task().row(n_).sub(0, ib);
-        blas::gemv(Trans::Yes, 1.0, MatrixView<const double>(dv.in_task().block(0, 0, vrows, ib)),
-                   chk_seg, 0.0, ychk);
+        const auto v = MatrixView<const double>(dv.in_task().block(0, 0, vrows, ib));
+        hybrid::par::gemv(dev_.team(), Trans::Yes, 1.0, v, chk_seg, 0.0, ychk);
         blas::trmv(Uplo::Upper, Trans::Yes, Diag::NonUnit,
                    MatrixView<const double>(dt.in_task().block(0, 0, ib, ib)), ychk);
         chk_update_seconds_ += t.seconds();
@@ -519,15 +519,14 @@ class FtDriver {
     obs::TraceSpan span("ft", "detect");
     DetectResult det;
     auto e = d_e_.view();
-    s_.enqueue("ft.detect", FTH_TASK_EFFECTS(FTH_READS(e)), [e, n = n_, first_col, &det] {
+    s_.enqueue("ft.detect", FTH_TASK_EFFECTS(FTH_READS(e)),
+               [this, e, n = n_, first_col, &det] {
       auto eh = e.in_task();
       const double sre = blas::sum(VectorView<const double>(eh.col(n).sub(0, n)));
       const double sce = blas::sum(VectorView<const double>(eh.row(n).sub(0, n)));
       det.gap = std::abs(sre - sce);
-      index_t nf = 0;
-      for (index_t c = first_col; c <= n; ++c)
-        for (index_t r = 0; r <= n; ++r)
-          if (!std::isfinite(eh(r, c))) ++nf;
+      index_t nf = hybrid::par::count_nonfinite(
+          dev_.team(), MatrixView<const double>(eh.block(0, first_col, n + 1, n + 1 - first_col)));
       for (index_t c = 0; c < first_col; ++c)
         if (!std::isfinite(eh(n, c))) ++nf;
       det.nonfinite = nf;

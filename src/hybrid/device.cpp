@@ -10,7 +10,9 @@
 
 namespace fth::hybrid {
 
-Device::Device(DeviceConfig cfg) : cfg_(std::move(cfg)) {
+Device::Device(DeviceConfig cfg)
+    : cfg_(std::move(cfg)),
+      team_(cfg_.team_size > 0 ? cfg_.team_size : Team::default_size()) {
   default_stream_ = std::make_unique<Stream>(this);
 }
 

@@ -26,6 +26,7 @@
 #include "common/error.hpp"
 #include "la/matrix.hpp"
 #include "hybrid/stream.hpp"
+#include "hybrid/team.hpp"
 
 namespace fth::hybrid {
 
@@ -44,9 +45,14 @@ struct DeviceConfig {
   /// CrossDeviceAccess when a task on one ordinal unwraps another's memory.
   /// Single-device code keeps the default 0.
   int ordinal = 0;
+  /// Members of the device's kernel team (hybrid::Team): the stream worker
+  /// plus team_size−1 helper threads. 0 means Team::default_size(), the
+  /// whole box; DevicePool divides the box among its members instead.
+  int team_size = 0;
 };
 
-/// A simulated accelerator: allocation arena + default stream + statistics.
+/// A simulated accelerator: allocation arena + kernel team + default stream
+/// + statistics.
 class Device {
  public:
   explicit Device(DeviceConfig cfg = {});
@@ -79,6 +85,9 @@ class Device {
   /// The device's default execution stream.
   [[nodiscard]] Stream& stream() noexcept { return *default_stream_; }
 
+  /// The threads the device's kernels run on (see hybrid/team.hpp).
+  [[nodiscard]] Team& team() noexcept { return team_; }
+
   // Internal: stat hooks used by the transfer routines.
   void note_h2d(std::size_t bytes) noexcept;
   void note_d2h(std::size_t bytes) noexcept;
@@ -108,6 +117,7 @@ class Device {
   std::atomic<std::uint64_t> d2h_bytes_{0};
   std::atomic<std::uint64_t> h2d_count_{0};
   std::atomic<std::uint64_t> d2h_count_{0};
+  Team team_;  // before the stream: its worker dispatches to the team until joined
   std::unique_ptr<Stream> default_stream_;
 };
 

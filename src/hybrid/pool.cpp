@@ -12,6 +12,7 @@ DevicePool::DevicePool(PoolConfig cfg) {
   for (int d = 0; d < cfg.devices; ++d) {
     DeviceConfig dc = cfg.device;
     dc.ordinal = d;
+    if (dc.team_size == 0) dc.team_size = Team::default_size(cfg.devices);
     dc.name = cfg.device.name + " #" + std::to_string(d);
     devs_.push_back(std::make_unique<Device>(std::move(dc)));
   }

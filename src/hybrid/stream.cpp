@@ -244,15 +244,28 @@ void Stream::worker_loop() {
   obs::set_thread_name("device-stream");
   const int dev_ordinal = device_ != nullptr ? device_->ordinal() : -1;
   obs::profile_detail::set_device_ordinal(dev_ordinal);
+  // While this stream has work it holds the device's kernel team, whose
+  // helpers then keep spinning for the next fork rather than parking soon
+  // (the idle policy in hybrid/team.hpp).
+  Team* team = device_ != nullptr ? &device_->team() : nullptr;
+  bool holding = false;
   for (;;) {
     Task task;
     bool dead = false;
     {
       std::unique_lock lock(m_);
+      if (holding && queue_.empty()) {
+        team->release();
+        holding = false;
+      }
       cv_worker_.wait(lock, [&] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) {
         if (stop_) return;
         continue;
+      }
+      if (team != nullptr && !holding) {
+        team->hold();
+        holding = true;
       }
       task = std::move(queue_.front());
       queue_.pop_front();

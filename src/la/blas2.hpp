@@ -1,6 +1,9 @@
 // Level-2 BLAS: matrix-vector kernels (gemv, ger, trmv, trsv).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/flops.hpp"
 #include "la/matrix.hpp"
@@ -92,6 +95,11 @@ void ger(T alpha, VectorView<const T> x, VectorView<const T> y, MatrixView<T> a)
 
 /// symv: y ← alpha·A·x + beta·y with A symmetric, only the `uplo` triangle
 /// referenced (the other triangle is implied by symmetry and never read).
+///
+/// Every product-accumulate is an explicit std::fma, so each element's
+/// rounding is fixed by the source rather than by how the compiler
+/// vectorizes a loop: detail::symv_rows, which a device team uses to compute
+/// y in row blocks with a different loop structure, is bit-identical.
 template <class T>
 void symv(Uplo uplo, T alpha, MatrixView<const T> a, VectorView<const T> x, T beta,
           VectorView<T> y) {
@@ -108,17 +116,20 @@ void symv(Uplo uplo, T alpha, MatrixView<const T> a, VectorView<const T> x, T be
 
   // Column sweep touching each stored element once: the stored (i, j)
   // contributes to y[i] (as A(i,j)·x[j]) and to y[j] (as A(j,i)·x[i]).
+  // detail::symv_rows(…, 0, n) gives the same bits but reads each column
+  // twice: as the serial symv it lowered perfbench family-n384 (sytrd and
+  // gebrd) base_gflops from 2.65 to 2.26 GF/s on a 4-vCPU Xeon.
   if (uplo == Uplo::Lower) {
     for (index_t j = 0; j < n; ++j) {
       const T axj = alpha * x[j];
       T acc{};
-      y[j] += axj * a(j, j);
+      y[j] = std::fma(axj, a(j, j), y[j]);
       for (index_t i = j + 1; i < n; ++i) {
         const T aij = a(i, j);
-        y[i] += axj * aij;
-        acc += aij * x[i];
+        y[i] = std::fma(axj, aij, y[i]);
+        acc = std::fma(aij, x[i], acc);
       }
-      y[j] += alpha * acc;
+      y[j] = std::fma(alpha, acc, y[j]);
     }
   } else {
     for (index_t j = 0; j < n; ++j) {
@@ -126,14 +137,58 @@ void symv(Uplo uplo, T alpha, MatrixView<const T> a, VectorView<const T> x, T be
       T acc{};
       for (index_t i = 0; i < j; ++i) {
         const T aij = a(i, j);
-        y[i] += axj * aij;
-        acc += aij * x[i];
+        y[i] = std::fma(axj, aij, y[i]);
+        acc = std::fma(aij, x[i], acc);
       }
-      y[j] += axj * a(j, j) + alpha * acc;
+      y[j] += std::fma(axj, a(j, j), alpha * acc);
     }
   }
   flops::add(2ull * static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n));
 }
+
+namespace detail {
+
+/// Rows [r0, r1) of symv's result, bit-identical to blas::symv's: row i
+/// receives the same fused terms in the same order — the stored entries
+/// left of (Lower) or right of (Upper) the diagonal in column order, and
+/// its own diagonal and column dot product at step j = i. Each block reads
+/// its row strip and its column strip of the stored triangle. Counts no
+/// FLOPs.
+template <class T>
+void symv_rows(Uplo uplo, T alpha, MatrixView<const T> a, VectorView<const T> x, T beta,
+               VectorView<T> y, index_t r0, index_t r1) {
+  const index_t n = a.rows();
+  if (beta == T{0}) {
+    for (index_t i = r0; i < r1; ++i) y[i] = T{0};
+  } else if (beta != T{1}) {
+    for (index_t i = r0; i < r1; ++i) y[i] *= beta;
+  }
+  if (alpha == T{0} || n == 0) return;
+  if (uplo == Uplo::Lower) {
+    for (index_t j = 0; j < r1; ++j) {
+      const T axj = alpha * x[j];
+      if (j >= r0) y[j] = std::fma(axj, a(j, j), y[j]);
+      for (index_t i = std::max(j + 1, r0); i < r1; ++i) y[i] = std::fma(axj, a(i, j), y[i]);
+      if (j >= r0) {
+        T acc{};
+        for (index_t i = j + 1; i < n; ++i) acc = std::fma(a(i, j), x[i], acc);
+        y[j] = std::fma(alpha, acc, y[j]);
+      }
+    }
+  } else {
+    for (index_t j = r0; j < n; ++j) {
+      const T axj = alpha * x[j];
+      if (j < r1) {
+        T acc{};
+        for (index_t i = 0; i < j; ++i) acc = std::fma(a(i, j), x[i], acc);
+        y[j] += std::fma(axj, a(j, j), alpha * acc);
+      }
+      for (index_t i = r0; i < std::min(j, r1); ++i) y[i] = std::fma(axj, a(i, j), y[i]);
+    }
+  }
+}
+
+}  // namespace detail
 
 /// syr2: A ← alpha·(x·yᵀ + y·xᵀ) + A, updating only the `uplo` triangle.
 template <class T>

@@ -3,20 +3,16 @@
 // gemm is the workhorse of both the baseline and the fault-tolerant
 // Hessenberg reduction; it is implemented with the classic Goto-style
 // three-level cache blocking (pack A panel, pack B panel, register-tiled
-// micro-kernel) and optional OpenMP over the M-panel loop. Everything else
-// is a straightforward reference kernel — they sit off the critical path.
+// micro-kernel) into per-thread pack buffers. Everything else is a
+// straightforward reference kernel. All kernels here are serial; the
+// simulated device spreads them over its thread team in hybrid/dev_blas.cpp.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/flops.hpp"
 #include "la/matrix.hpp"
-
-#if FTH_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace fth::blas {
 
@@ -80,6 +76,36 @@ void micro_kernel(index_t kb, T alpha, const T* ap, const T* bp, MatrixView<T>& 
     for (index_t i = 0; i < mr; ++i) cd[(i0 + i) + (j0 + j) * ldc] += alpha * acc[i][j];
 }
 
+/// Pack buffers of the blocked path, one pair per thread (so one per device
+/// team member), grown to the largest block the thread has packed and then
+/// reused. Never cleared: pack_a/pack_b write every element the
+/// micro-kernel reads, padding included.
+template <class T>
+struct PackBuffers {
+  std::vector<T> a;
+  std::vector<T> b;
+
+  static PackBuffers& local() {
+    thread_local PackBuffers buffers;
+    return buffers;
+  }
+  static T* reserve(std::vector<T>& v, index_t n) {
+    if (v.size() < static_cast<std::size_t>(n)) v.resize(static_cast<std::size_t>(n));
+    return v.data();
+  }
+};
+
+inline index_t round_up(index_t x, index_t step) { return (x + step - 1) / step * step; }
+
+/// m·n·k below which gemm uses gemm_naive (no packing).
+inline constexpr double kGemmNaiveWork = 32.0 * 32.0 * 32.0;
+
+/// Whether gemm computes an m×n×k product with gemm_naive.
+inline bool gemm_is_small(index_t m, index_t n, index_t k) {
+  return static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k) <
+         kGemmNaiveWork;
+}
+
 /// Naive triple loop for small problems (avoids packing overhead).
 template <class T>
 void gemm_naive(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<const T> b,
@@ -103,22 +129,18 @@ void gemm_naive(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<c
   }
 }
 
-}  // namespace detail
-
-/// gemm: C ← alpha·op(A)·op(B) + beta·C.
+/// gemm's arithmetic without the shape check and the FLOP count, with the
+/// naive-or-blocked choice passed in. A tile of a larger product that
+/// passes the whole product's choice computes every element of C by the
+/// same operations in the same order as the whole call: the blocked path's
+/// result for C(i, j) depends only on row i of op(A), column j of op(B) and
+/// the kKC split of k, not on where the tile starts.
 template <class T>
-void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<const T> b, T beta,
-          MatrixView<T> c) {
-  using namespace detail;
+void gemm_body(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<const T> b,
+               T beta, MatrixView<T> c, bool small) {
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = (ta == Trans::No) ? a.cols() : a.rows();
-  {
-    const index_t am = (ta == Trans::No) ? a.rows() : a.cols();
-    const index_t bk = (tb == Trans::No) ? b.rows() : b.cols();
-    const index_t bn = (tb == Trans::No) ? b.cols() : b.rows();
-    FTH_CHECK(am == m && bk == k && bn == n, "gemm dimension mismatch");
-  }
 
   // beta-scale C first so the accumulation path is uniform.
   if (beta == T{0}) {
@@ -129,40 +151,55 @@ void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<const T
       for (index_t i = 0; i < m; ++i) col[i] *= beta;
     }
   }
-  if (alpha == T{0} || m == 0 || n == 0 || k == 0) {
-    flops::add(flops::gemm(m, n, k));
-    return;
-  }
-
-  if (static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k) < 32.0 * 32.0 * 32.0) {
+  if (alpha == T{0} || m == 0 || n == 0 || k == 0) return;
+  if (small) {
     gemm_naive(ta, tb, alpha, a, b, c);
-    flops::add(flops::gemm(m, n, k));
     return;
   }
 
-  std::vector<T> apack(static_cast<std::size_t>(kMC + kMR) * kKC);
-  std::vector<T> bpack(static_cast<std::size_t>(kKC) * (kNC + kNR));
+  auto& pack = PackBuffers<T>::local();
+  const index_t kb_max = std::min(kKC, k);
+  T* apack = PackBuffers<T>::reserve(pack.a, round_up(std::min(kMC, m), kMR) * kb_max);
+  T* bpack = PackBuffers<T>::reserve(pack.b, kb_max * round_up(std::min(kNC, n), kNR));
 
   for (index_t jc = 0; jc < n; jc += kNC) {
     const index_t nb = std::min(kNC, n - jc);
     for (index_t kc = 0; kc < k; kc += kKC) {
       const index_t kb = std::min(kKC, k - kc);
-      pack_b(b, tb, kc, jc, kb, nb, bpack.data());
+      pack_b(b, tb, kc, jc, kb, nb, bpack);
       for (index_t ic = 0; ic < m; ic += kMC) {
         const index_t mb = std::min(kMC, m - ic);
-        pack_a(a, ta, ic, kc, mb, kb, apack.data());
+        pack_a(a, ta, ic, kc, mb, kb, apack);
         for (index_t jr = 0; jr < nb; jr += kNR) {
           const index_t nr = std::min(kNR, nb - jr);
-          const T* bp = bpack.data() + (jr / kNR) * kb * kNR;
+          const T* bp = bpack + (jr / kNR) * kb * kNR;
           for (index_t ir = 0; ir < mb; ir += kMR) {
             const index_t mr = std::min(kMR, mb - ir);
-            const T* ap = apack.data() + (ir / kMR) * kb * kMR;
+            const T* ap = apack + (ir / kMR) * kb * kMR;
             micro_kernel(kb, alpha, ap, bp, c, ic + ir, jc + jr, mr, nr);
           }
         }
       }
     }
   }
+}
+
+}  // namespace detail
+
+/// gemm: C ← alpha·op(A)·op(B) + beta·C.
+template <class T>
+void gemm(Trans ta, Trans tb, T alpha, MatrixView<const T> a, MatrixView<const T> b, T beta,
+          MatrixView<T> c) {
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t k = (ta == Trans::No) ? a.cols() : a.rows();
+  {
+    const index_t am = (ta == Trans::No) ? a.rows() : a.cols();
+    const index_t bk = (tb == Trans::No) ? b.rows() : b.cols();
+    const index_t bn = (tb == Trans::No) ? b.cols() : b.rows();
+    FTH_CHECK(am == m && bk == k && bn == n, "gemm dimension mismatch");
+  }
+  detail::gemm_body(ta, tb, alpha, a, b, beta, c, detail::gemm_is_small(m, n, k));
   flops::add(flops::gemm(m, n, k));
 }
 
@@ -307,6 +344,49 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha, MatrixView<cons
   flops::add(static_cast<std::uint64_t>(m) * n * na);
 }
 
+namespace detail {
+
+/// Column-block width of syr2k's blocked path.
+inline constexpr index_t kSyr2kBlock = 64;
+
+/// Whether syr2k takes its blocked path: the shape the tridiagonal
+/// reduction uses (No-trans), blocked into diagonal triangles (naive) +
+/// off-diagonal rectangles (two gemms each, reusing the cache-blocked
+/// kernel).
+inline bool syr2k_is_blocked(Trans trans, index_t n) { return trans == Trans::No && n >= 32; }
+
+/// Columns [j0, j0 + kSyr2kBlock) of syr2k's blocked path. The blocks
+/// write disjoint columns of C, so they may run in any order.
+template <class T>
+void syr2k_column_block(Uplo uplo, T alpha, MatrixView<const T> a, MatrixView<const T> b,
+                        T beta, MatrixView<T> c, index_t j0) {
+  const index_t n = c.rows();
+  const index_t k = a.cols();
+  const index_t jb = std::min(kSyr2kBlock, n - j0);
+  // Diagonal block: the referenced triangle only.
+  for (index_t j = j0; j < j0 + jb; ++j) {
+    const index_t ilo = (uplo == Uplo::Lower) ? j : j0;
+    const index_t ihi = (uplo == Uplo::Lower) ? j0 + jb : j + 1;
+    for (index_t i = ilo; i < ihi; ++i) {
+      T acc{};
+      for (index_t l = 0; l < k; ++l) acc += a(i, l) * b(j, l) + b(i, l) * a(j, l);
+      c(i, j) = alpha * acc + (beta == T{0} ? T{0} : beta * c(i, j));
+    }
+  }
+  // Off-diagonal rectangle: full gemm pair.
+  const index_t ri = (uplo == Uplo::Lower) ? j0 + jb : 0;
+  const index_t rm = (uplo == Uplo::Lower) ? n - j0 - jb : j0;
+  if (rm > 0) {
+    auto cblk = c.block(ri, j0, rm, jb);
+    gemm(Trans::No, Trans::Yes, alpha, a.block(ri, 0, rm, k), b.block(j0, 0, jb, k), beta,
+         cblk);
+    gemm(Trans::No, Trans::Yes, alpha, b.block(ri, 0, rm, k), a.block(j0, 0, jb, k), T{1},
+         cblk);
+  }
+}
+
+}  // namespace detail
+
 /// syr2k: C ← alpha·(A·Bᵀ + B·Aᵀ) + beta·C (Trans::No; Trans::Yes swaps the
 /// transposes), updating only the `uplo` triangle of C. The trailing update
 /// of the blocked tridiagonal reduction (A −= V·Wᵀ + W·Vᵀ).
@@ -321,34 +401,9 @@ void syr2k(Uplo uplo, Trans trans, T alpha, MatrixView<const T> a, MatrixView<co
   const index_t bk = (trans == Trans::No) ? b.cols() : b.rows();
   FTH_CHECK(an == n && bn == n && bk == k, "syr2k dimension mismatch");
 
-  // Fast path for the shape the tridiagonal reduction uses: No-trans,
-  // blocked into diagonal triangles (naive) + sub-diagonal rectangles
-  // (two gemms each, reusing the cache-blocked kernel).
-  if (trans == Trans::No && n >= 32) {
-    constexpr index_t cb = 64;
-    for (index_t j0 = 0; j0 < n; j0 += cb) {
-      const index_t jb = std::min(cb, n - j0);
-      // Diagonal block: the referenced triangle only.
-      for (index_t j = j0; j < j0 + jb; ++j) {
-        const index_t ilo = (uplo == Uplo::Lower) ? j : j0;
-        const index_t ihi = (uplo == Uplo::Lower) ? j0 + jb : j + 1;
-        for (index_t i = ilo; i < ihi; ++i) {
-          T acc{};
-          for (index_t l = 0; l < k; ++l) acc += a(i, l) * b(j, l) + b(i, l) * a(j, l);
-          c(i, j) = alpha * acc + (beta == T{0} ? T{0} : beta * c(i, j));
-        }
-      }
-      // Off-diagonal rectangle: full gemm pair.
-      const index_t ri = (uplo == Uplo::Lower) ? j0 + jb : 0;
-      const index_t rm = (uplo == Uplo::Lower) ? n - j0 - jb : j0;
-      if (rm > 0) {
-        auto cblk = c.block(ri, j0, rm, jb);
-        gemm(Trans::No, Trans::Yes, alpha, a.block(ri, 0, rm, k), b.block(j0, 0, jb, k),
-             beta, cblk);
-        gemm(Trans::No, Trans::Yes, alpha, b.block(ri, 0, rm, k), a.block(j0, 0, jb, k),
-             T{1}, cblk);
-      }
-    }
+  if (detail::syr2k_is_blocked(trans, n)) {
+    for (index_t j0 = 0; j0 < n; j0 += detail::kSyr2kBlock)
+      detail::syr2k_column_block(uplo, alpha, a, b, beta, c, j0);
     return;  // gemm accounted its own FLOPs; the triangles are O(n·cb·k) extra
   }
 

@@ -114,33 +114,9 @@ void larfb(Side side, Trans trans, Direction dir, StoreV storev, MatrixView<cons
     const index_t n = c.cols();
     FTH_CHECK(v.rows() == m, "larfb left: V rows must equal C rows");
     FTH_CHECK(work.rows() >= n && work.cols() >= k, "larfb left: work too small");
-    auto w = work.block(0, 0, n, k);
-
-    // W := C1ᵀ  (C1 = first k rows of C)
-    for (index_t j = 0; j < k; ++j)
-      for (index_t i = 0; i < n; ++i) w(i, j) = c(j, i);
-    // W := W·V1 (V1 = top k×k unit lower triangle of V)
-    blas::trmm(Side::Right, Uplo::Lower, Trans::No, Diag::Unit, 1.0,
-               v.block(0, 0, k, k), w);
-    // W += C2ᵀ·V2
-    if (m > k) {
-      blas::gemm(Trans::Yes, Trans::No, 1.0,
-                 MatrixView<const double>(c.block(k, 0, m - k, n)), v.block(k, 0, m - k, k),
-                 1.0, w);
-    }
-    // W := W·op(T)
-    blas::trmm(Side::Right, Uplo::Upper, t_op, Diag::NonUnit, 1.0, t.block(0, 0, k, k), w);
-    // C2 −= V2·Wᵀ
-    if (m > k) {
-      blas::gemm(Trans::No, Trans::Yes, -1.0, v.block(k, 0, m - k, k),
-                 MatrixView<const double>(w), 1.0, c.block(k, 0, m - k, n));
-    }
-    // W := W·V1ᵀ
-    blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
-               v.block(0, 0, k, k), w);
-    // C1 −= Wᵀ
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < k; ++i) c(i, j) -= w(j, i);
+    detail::larfb_left_columns(trans, v, t, c, work.block(0, 0, n, k),
+                               blas::detail::gemm_is_small(n, k, m - k),
+                               blas::detail::gemm_is_small(m - k, n, k));
   } else {
     const index_t m = c.rows();
     const index_t n = c.cols();
@@ -174,5 +150,46 @@ void larfb(Side side, Trans trans, Direction dir, StoreV storev, MatrixView<cons
       for (index_t i = 0; i < m; ++i) c(i, j) -= w(i, j);
   }
 }
+
+namespace detail {
+
+void larfb_left_columns(Trans trans, MatrixView<const double> v, MatrixView<const double> t,
+                        MatrixView<double> c, MatrixView<double> w, bool small_w,
+                        bool small_c) {
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t k = v.cols();
+  const Trans t_op = (trans == Trans::No) ? Trans::Yes : Trans::No;
+  const auto v1 = v.block(0, 0, k, k);
+
+  // W := C1ᵀ  (C1 = first k rows of C)
+  for (index_t j = 0; j < k; ++j)
+    for (index_t i = 0; i < n; ++i) w(i, j) = c(j, i);
+  // W := W·V1 (V1 = top k×k unit lower triangle of V)
+  blas::trmm(Side::Right, Uplo::Lower, Trans::No, Diag::Unit, 1.0, v1, w);
+  // W += C2ᵀ·V2
+  if (m > k) {
+    blas::detail::gemm_body(Trans::Yes, Trans::No, 1.0,
+                            MatrixView<const double>(c.block(k, 0, m - k, n)),
+                            v.block(k, 0, m - k, k), 1.0, w, small_w);
+    flops::add(flops::gemm(n, k, m - k));
+  }
+  // W := W·op(T)
+  blas::trmm(Side::Right, Uplo::Upper, t_op, Diag::NonUnit, 1.0, t.block(0, 0, k, k), w);
+  // C2 −= V2·Wᵀ
+  if (m > k) {
+    blas::detail::gemm_body(Trans::No, Trans::Yes, -1.0, v.block(k, 0, m - k, k),
+                            MatrixView<const double>(w), 1.0, c.block(k, 0, m - k, n),
+                            small_c);
+    flops::add(flops::gemm(m - k, n, k));
+  }
+  // W := W·V1ᵀ
+  blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0, v1, w);
+  // C1 −= Wᵀ
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < k; ++i) c(i, j) -= w(j, i);
+}
+
+}  // namespace detail
 
 }  // namespace fth::lapack

@@ -37,4 +37,18 @@ void larft(Direction dir, StoreV storev, MatrixView<const double> v,
 void larfb(Side side, Trans trans, Direction dir, StoreV storev, MatrixView<const double> v,
            MatrixView<const double> t, MatrixView<double> c, MatrixView<double> work);
 
+namespace detail {
+
+/// larfb's Side::Left update on the columns `c` (m×nc, a column block of C
+/// or all of it) with `w` (nc×k) as workspace: each column of C maps to
+/// the same row of W and back, so column blocks are independent. The two
+/// gemms take the naive-or-blocked choice passed in (the whole C's
+/// blas::detail::gemm_is_small(n, k, m−k) and (m−k, n, k)), so splitting C
+/// changes no element's arithmetic. Counts the gemms' FLOPs; no checks.
+void larfb_left_columns(Trans trans, MatrixView<const double> v, MatrixView<const double> t,
+                        MatrixView<double> c, MatrixView<double> w, bool small_w,
+                        bool small_c);
+
+}  // namespace detail
+
 }  // namespace fth::lapack
