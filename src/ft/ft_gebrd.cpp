@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -12,59 +11,30 @@
 #include "fault/fault_plane.hpp"
 #include "ft/checksum.hpp"
 #include "ft/locate.hpp"
+#include "ft/protocol.hpp"
 #include "ft/q_protect.hpp"
-#include "ft/recovery.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "la/blas1.hpp"
 #include "la/norms.hpp"
-#include "obs/journal.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "lapack/gebrd.hpp"
 #include "lapack/gebrd_impl.hpp"
 
 namespace fth::ft {
 
-index_t ft_gebrd_boundaries(index_t n, index_t nb) {
-  index_t count = 0;
-  index_t i = 0;
-  while (i < n - 1) {
-    i += std::min(nb, n - 1 - i);
-    ++count;
-  }
-  return count;
-}
-
 namespace {
 
 using hybrid::copy_d2h;
 using hybrid::copy_d2h_async;
-using hybrid::copy_h2d;
 using hybrid::copy_h2d_async;
 
-/// Thrown by the panel tripwires when a device-assisted product comes back
-/// non-finite: applying the reflector pair would smear NaN/Inf across the
-/// whole trailing matrix, so the panel is abandoned before any update.
-struct panel_poisoned_error {};
+double gebrd_threshold(MatrixView<const double> a, const FtGebrdOptions& opt) {
+  return opt.threshold > 0 ? opt.threshold
+                           : 50.0 * default_threshold(norm_fro(a), a.rows(), opt.threshold_factor) /
+                                 static_cast<double>(std::max<index_t>(a.rows(), 1));
+}
 
-/// RAII bracket telling the fault plane a recovery re-execution is active
-/// (DuringRecovery faults only count triggers inside the bracket).
-class RecoveryScope {
- public:
-  explicit RecoveryScope(fault::FaultPlane* p) : p_(p) {
-    if (p_ != nullptr) p_->set_in_recovery(true);
-  }
-  ~RecoveryScope() {
-    if (p_ != nullptr) p_->set_in_recovery(false);
-  }
-  RecoveryScope(const RecoveryScope&) = delete;
-  RecoveryScope& operator=(const RecoveryScope&) = delete;
-
- private:
-  fault::FaultPlane* p_;
-};
-
-class FtGebrdDriver {
+class FtGebrdDriver final : public Code {
  public:
   FtGebrdDriver(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
                 VectorView<double> e, VectorView<double> tauq, VectorView<double> taup,
@@ -78,9 +48,10 @@ class FtGebrdDriver {
         taup_(taup),
         opt_(opt),
         inj_(inj),
-        rep_(rep),
         st_(st),
         n_(a.rows()),
+        threshold_(gebrd_threshold(a, opt)),
+        plane_(opt.fault_plane),
         d_a_(dev, n_, n_, "gebrd.ft.d_a"),
         d_v2_(dev, n_, std::max<index_t>(opt.nb, 1), "gebrd.ft.d_v2"),
         d_y2_(dev, n_, std::max<index_t>(opt.nb, 1), "gebrd.ft.d_y2"),
@@ -98,38 +69,17 @@ class FtGebrdDriver {
         y_host_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_cols_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_rows_(std::max<index_t>(opt.nb, 1), n_),
-        ckpt_chkc_(n_, 1),
-        ckpt_chkr_(n_, 1),
         seg_(std::max<index_t>(opt.nb, 1), 2),
         at_mirror_(n_, n_),
         qp_v_(n_, /*row_offset=*/1),
-        qp_u_(n_, /*row_offset=*/2) {
-    const double fro = norm_fro(MatrixView<const double>(a_));
-    scale_max_ = norm_max(MatrixView<const double>(a_));
-    threshold_ = opt.threshold > 0
-                     ? opt.threshold
-                     : 50.0 * default_threshold(fro, n_, opt.threshold_factor) /
-                           static_cast<double>(std::max<index_t>(n_, 1));
-    total_boundaries_ = ft_gebrd_boundaries(n_, opt.nb);
-    rep_.threshold = threshold_;
-    plane_ = opt.fault_plane;
-    if (plane_ != nullptr) plane_->bind(dev);
-  }
+        qp_u_(n_, /*row_offset=*/2),
+        chk_(proto_, s_, d_chkc_, d_chkr_),
+        proto_("ft_gebrd", dev, *this, rep, a, opt, threshold_) {}
 
-  ~FtGebrdDriver() {
-    if (plane_ != nullptr) {
-      // Drain the stream so no hook invocation is in flight when the hooks
-      // come down (the plane may be destroyed right after the driver).
-      try {
-        s_.synchronize();
-      } catch (...) {  // NOLINT(bugprone-empty-catch): unwinding already
-      }
-      plane_->unbind();
-    }
-  }
-
+  // The boundary loop. As in ft_sytrd, faults strike before the boundary's
+  // check, so they are repaired before the next panel consumes them.
   void run() {
-    encode();
+    proto_.encode();
     index_t i = 0;
     index_t boundary = 0;
     while (i < n_ - 1) {
@@ -141,47 +91,40 @@ class FtGebrdDriver {
                              boundary % opt_.detect_every == 0 || i + ib >= n_ - 1;
       // A poisoned panel forces a check regardless of the amortization
       // knob: the next iteration would otherwise consume the damage.
-      if (check_now || !completed) ensure_clean(boundary, i, ib, completed);
-      if (opt_.protect_qp) {
+      if (check_now || !completed) proto_.ensure_clean(boundary, i, ib, completed);
+      if (opt_.protect_q) {
         qp_v_.commit(pending_v_);
         qp_u_.commit(pending_u_);
       }
       ++st_.panels;
       i += ib;
     }
-    final_phase();
-    // Clean means NOTHING fired: a run that survived only because a
-    // checkpoint was re-derived, a non-finite element reconstructed, or a
-    // poisoned panel abandoned was still a recovery.
-    rep_.outcome.status = (rep_.detections > 0 || rep_.final_sweep_corrections > 0 ||
-                           rep_.q_corrections > 0 || rep_.ckpt_rederivations > 0 ||
-                           rep_.reconstructions > 0 || rep_.panel_aborts > 0)
-                              ? RecoveryStatus::Recovered
-                              : RecoveryStatus::Clean;
+    copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
+    proto_.final_sweep();
+    proto_.verify_q();
+    // Single source of truth: extract d and e from the host matrix.
+    for (index_t r = 0; r < n_; ++r) d_[r] = a_(r, r);
+    for (index_t r = 0; r + 1 < n_; ++r) e_[r] = a_(r, r + 1);
+    tauq_[n_ - 1] = 0.0;  // the last left reflector has an empty tail
+    proto_.conclude();
   }
 
  private:
-  void encode() {
-    WallTimer t;
-    obs::TraceSpan span("ft", "encode", "n", static_cast<double>(n_));
+  void encode() override {
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
     auto ones = d_ones_.view().col(0);
     hybrid::gemv_async(s_, Trans::No, 1.0, d_a_.view(), ones, 0.0, d_chkc_.view().col(0));
     hybrid::gemv_async(s_, Trans::Yes, 1.0, d_a_.view(), ones, 0.0, d_chkr_.view().col(0));
-    // Intentional full barrier, once per run: mark_encoded() below opens
-    // the fault gate, and both codes must exist on the device before any
-    // strike is allowed. fth-perf: expect coarse-synchronize
+    // Intentional full barrier, once per run: the protocol opens the fault
+    // gate (mark_encoded()) next, and both codes must exist on the device
+    // before any strike is allowed. fth-perf: expect coarse-synchronize
     s_.synchronize();
-    rep_.encode_seconds += t.seconds();
-    // Faults are gated until the codes exist: an earlier strike would be
-    // encoded consistently and become a different (but protected) input.
-    if (plane_ != nullptr) plane_->mark_encoded();
   }
 
   // Returns false if a panel tripwire abandoned the iteration before any
   // update touched the trailing matrix (caller rolls back and redoes).
-  bool run_iteration(index_t i, index_t ib) {
+  bool run_iteration(index_t i, index_t ib) override {
     const index_t tn = n_ - i - ib;
 
     // Re-aim the fault plane at this iteration's live regions. The device
@@ -206,8 +149,8 @@ class FtGebrdDriver {
       // the checkpointed checksum-vector pre-images (d2h, checkpoint save).
       // The panel d2h lands in host a_, the reliable domain by the paper's
       // model — corrupting it would be a silently wrong result everywhere.
-      plane_->add_transfer_target(fault::Surface::Checkpoint, ckpt_chkc_.view());
-      plane_->add_transfer_target(fault::Surface::Checkpoint, ckpt_chkr_.view());
+      plane_->add_transfer_target(fault::Surface::Checkpoint, chk_.ckpt(0));
+      plane_->add_transfer_target(fault::Surface::Checkpoint, chk_.ckpt(1));
     }
 
     // Column panel, row panel, and both checksum vectors to the host;
@@ -220,19 +163,17 @@ class FtGebrdDriver {
       // stale by design.
       copy_d2h_async(s_, d_a_.block(i, i, n_ - i, ib), a_.block(i, i, n_ - i, ib));
       copy_d2h_async(s_, d_a_.block(i, i + ib, ib, tn), a_.block(i, i + ib, ib, tn));
-      copy_d2h_async(s_, d_chkc_.view(), ckpt_chkc_.view());
-      copy_d2h(s_, d_chkr_.view(), ckpt_chkr_.view());
+      copy_d2h_async(s_, d_chkc_.view(), chk_.ckpt(0));
+      copy_d2h(s_, d_chkr_.view(), chk_.ckpt(1));
       fth::copy(MatrixView<const double>(a_.block(i, i, n_ - i, ib)),
                 ckpt_cols_.block(0, 0, n_ - i, ib));
       fth::copy(MatrixView<const double>(a_.block(i, i + ib, ib, tn)),
                 ckpt_rows_.block(0, 0, ib, tn));
       // The d2h that filled the vector checkpoints is itself fault-eligible
       // and the dual-sum verify can only vouch for what was stored, not for
-      // the transfer. Cross-check bitwise against the device's maintained
-      // vectors via a raw task readback (not a copy_* transfer, hence not
-      // fault-eligible) and repair on mismatch.
-      verify_chk_checkpoint_save();
-      save_checkpoint_sums(i, ib);
+      // the transfer: cross-check it against the device's vectors.
+      chk_.cross_check();
+      ckpt_sum_ = panel_checkpoint_sums(i, ib);
       if (plane_ != nullptr)
         plane_->register_surface(fault::Surface::Checkpoint,
                                  ckpt_cols_.block(0, 0, n_ - i, ib));
@@ -282,10 +223,7 @@ class FtGebrdDriver {
     st_.panel_seconds += panel_timer.seconds();
     if (poisoned) {
       s_.synchronize();
-      ++rep_.panel_aborts;
-      obs::counter_metric("ft.panel_aborts").add();
-      obs::instant("ft", "panel_abort");
-      obs::journal_log(obs::JournalSeverity::Warn, "ft", "panel_abort", -1, 0.0, i);
+      proto_.panel_aborted(i);
       return false;
     }
 
@@ -356,7 +294,7 @@ class FtGebrdDriver {
         a_(i + j, i + j) = d_[i + j];
         a_(i + j, i + j + 1) = e_[i + j];
       }
-      if (opt_.protect_qp) {
+      if (opt_.protect_q) {
         WallTimer qt;
         obs::TraceSpan q_span("ft", "q_checksum");
         pending_v_ = qp_v_.compute_panel(MatrixView<const double>(a_), i, ib);
@@ -365,7 +303,7 @@ class FtGebrdDriver {
           for (index_t c = 0; c < n_; ++c) at_mirror_(c, r) = a_(r, c);
         }
         pending_u_ = qp_u_.compute_panel(at_mirror_.cview(), i, ib);
-        rep_.q_seconds += qt.seconds();
+        proto_.report().q_seconds += qt.seconds();
       }
 
       // Finished panel rows/columns of the checksums: re-encode from the
@@ -421,18 +359,6 @@ class FtGebrdDriver {
     return fresh;
   }
 
-  std::vector<double> fetch_chk(bool col) {
-    std::vector<double> out(static_cast<std::size_t>(n_));
-    s_.enqueue("ft.chk_readback",
-                FTH_TASK_EFFECTS(FTH_READS(d_chkc_.view(), d_chkr_.view())),
-                [this, &out, col] {
-      auto c = (col ? d_chkr_.view() : d_chkc_.view()).col(0).in_task();
-      for (index_t r = 0; r < n_; ++r) out[static_cast<std::size_t>(r)] = c[r];
-    });
-    s_.synchronize();
-    return out;
-  }
-
   /// One full fresh-vs-maintained comparison at finished boundary `i2`.
   /// NaN-safe: a non-finite delta always flags its line (the plain
   /// `> threshold` comparison is false for NaN) and raises has_nonfinite_.
@@ -440,8 +366,8 @@ class FtGebrdDriver {
     FreshSums fresh;
     fresh.row = fresh_sums(i2, false);
     fresh.col = fresh_sums(i2, true);
-    const std::vector<double> chkc = fetch_chk(false);
-    const std::vector<double> chkr = fetch_chk(true);
+    const std::vector<double> chkc = chk_.fetch(false);
+    const std::vector<double> chkr = chk_.fetch(true);
     has_nonfinite_ = false;
     Discrepancy d;
     for (index_t r = 0; r < n_; ++r) {
@@ -472,104 +398,38 @@ class FtGebrdDriver {
     return d;
   }
 
-  void ensure_clean(index_t boundary, index_t i, index_t ib, bool completed) {
-    int attempts = 0;
-    for (;;) {
-      WallTimer dt;
-      worst_gap_ = 0.0;
-      Discrepancy disc;
-      bool clean;
-      if (completed) {
-        obs::TraceSpan det_span("ft", "detect");
-        disc = compare(i + ib, nullptr);
-        clean = disc.clean();
-      } else {
-        // The panel tripwire already proved the iteration unusable; there
-        // is nothing meaningful to measure, so synthesize the detection.
-        has_nonfinite_ = true;
-        clean = false;
-      }
-      rep_.detect_seconds += dt.seconds();
-      if (!has_nonfinite_) {
-        obs::histogram_metric("ft.detect_gap").observe(worst_gap_);
-        obs::counter("ft.detect_gap", worst_gap_);
-      }
-      if (clean) {
-        rep_.max_fault_free_gap = std::max(rep_.max_fault_free_gap, worst_gap_);
-        return;
-      }
-      const double gap =
-          has_nonfinite_ ? std::numeric_limits<double>::quiet_NaN() : worst_gap_;
-
-      ++rep_.detections;
-      obs::instant("ft", "detection");
-      obs::counter_metric("ft.detections").add();
-      obs::journal_log(obs::JournalSeverity::Warn, "ft", "detect", -1, gap, boundary);
-      if (has_nonfinite_) obs::counter_metric("ft.nonfinite_detections").add();
-      if (++attempts > opt_.max_retries) {
-        std::ostringstream os;
-        os << "gap " << gap << " > threshold " << threshold_
-           << " after exhausting retries";
-        abort_recovery(rep_.outcome, "ft_gebrd", AbortReason::RetriesExhausted, boundary,
-                       attempts - 1, gap, threshold_, os.str());
-      }
-
-      WallTimer rt;
-      FtEvent ev;
-      ev.boundary = boundary;
-      ev.gap = gap;
-      ev.panel_poisoned = !completed;
-      {
-        obs::TraceSpan rb_span("ft", "rollback", "col", static_cast<double>(i));
-        rollback(i, ib, completed);
-      }
-      ++rep_.rollbacks;
-      obs::counter_metric("ft.rollbacks").add();
-      obs::journal_log(obs::JournalSeverity::Info, "ft", "rollback", -1,
-                       static_cast<double>(attempts), boundary);
-
-      try {
-        // Pass 1 may reconstruct non-finite elements from the orthogonal
-        // code; a second pass mops up finite residue and re-encodes any
-        // checksum storage the damage propagated through.
-        for (int pass = 0; pass < 2; ++pass) {
-          obs::TraceSpan loc_span("ft", "locate");
-          FreshSums fresh;
-          const Discrepancy pre = compare(i, &fresh);
-          const LocateResult res = locate(pre, fresh, threshold_);
-          apply_corrections(res, i, ev);
-          if (res.reconstructions.empty()) break;
-        }
-      } catch (const recovery_error& e) {
-        const AbortReason why = has_nonfinite_ ? AbortReason::NonfiniteDamage
-                                               : AbortReason::AmbiguousPattern;
-        rep_.events.push_back(std::move(ev));
-        abort_recovery(rep_.outcome, "ft_gebrd", why, boundary, attempts, gap, threshold_,
-                       e.what());
-      }
-      ev.checkpoint_only = ev.data_corrections == 0 && ev.checksum_corrections == 0 &&
-                           ev.reconstructions == 0;
-      rep_.data_corrections += ev.data_corrections;
-      rep_.checksum_corrections += ev.checksum_corrections;
-      obs::counter_metric("ft.data_corrections").add(static_cast<std::uint64_t>(ev.data_corrections));
-      obs::counter_metric("ft.checksum_corrections")
-          .add(static_cast<std::uint64_t>(ev.checksum_corrections));
-      if (ev.checkpoint_only) obs::counter_metric("ft.checkpoint_only_recoveries").add();
-      rep_.events.push_back(std::move(ev));
-
-      {
-        obs::TraceSpan redo_span("ft", "reexec", "col", static_cast<double>(i));
-        obs::counter_metric("ft.reexecutions").add();
-        obs::journal_log(obs::JournalSeverity::Info, "ft", "reexec", -1,
-                         static_cast<double>(attempts), boundary);
-        const RecoveryScope in_recovery(plane_);
-        completed = run_iteration(i, ib);
-      }
-      rep_.recovery_seconds += rt.seconds();
-    }
+  Detection detect(index_t i, index_t ib) override {
+    worst_gap_ = 0.0;
+    const bool clean = compare(i + ib, nullptr).clean();
+    return {has_nonfinite_ ? std::numeric_limits<double>::quiet_NaN() : worst_gap_,
+            has_nonfinite_ ? 1 : 0, !clean};
   }
 
-  void rollback(index_t i, index_t ib, bool completed) {
+  [[nodiscard]] std::string describe(const Detection& det) const override {
+    std::ostringstream os;
+    os << "gap " << det.gap << " > threshold " << threshold_;
+    return os.str();
+  }
+
+  // The mismatched row and column identify an asymmetric error directly, so
+  // the location logic of ft::locate is reused verbatim.
+  void locate(index_t i) override {
+    FreshSums fresh;
+    const Discrepancy pre = compare(i, &fresh);
+    located_ = ft::locate(pre, fresh, threshold_);
+  }
+
+  // The damage the last locate() comparison saw, not the detection's.
+  [[nodiscard]] bool nonfinite_damage(const Detection& /*det*/) const override {
+    return has_nonfinite_;
+  }
+
+  bool correct(index_t i, FtEvent& ev) override {
+    apply_corrections(located_, i, ev);
+    return !located_.reconstructions.empty();
+  }
+
+  void rollback(index_t i, index_t ib, bool completed) override {
     const index_t tn = n_ - i - ib;
     if (completed) {
       // Reverse the two trailing GEMMs exactly (retained operands). A
@@ -586,7 +446,16 @@ class FtGebrdDriver {
     // Recovery cold path, not worth an Event edge. fth-perf: expect coarse-synchronize
     s_.synchronize();
     obs::TraceSpan restore_span("ft", "checkpoint_restore", "col", static_cast<double>(i));
-    verify_or_rederive_panel_checkpoints(i, ib);
+    if (!panel_checkpoint_sums(i, ib).same_bits(ckpt_sum_)) {
+      // Struck after save. The device's panel blocks are never written
+      // during the iteration (the panels are factored on the host, the
+      // GEMMs start at i+ib), so they still hold the exact pre-iteration
+      // image.
+      copy_d2h_async(s_, d_a_.block(i, i, n_ - i, ib), ckpt_cols_.block(0, 0, n_ - i, ib));
+      copy_d2h(s_, d_a_.block(i, i + ib, ib, tn), ckpt_rows_.block(0, 0, ib, tn));
+      ckpt_sum_ = panel_checkpoint_sums(i, ib);
+      proto_.rederived();
+    }
     fth::copy(MatrixView<const double>(ckpt_cols_.block(0, 0, n_ - i, ib)),
               a_.block(i, i, n_ - i, ib));
     fth::copy(MatrixView<const double>(ckpt_rows_.block(0, 0, ib, tn)),
@@ -594,125 +463,26 @@ class FtGebrdDriver {
     // The vector checkpoints are verified after the data rollback so that a
     // corrupt one can be re-derived from the restored state; only then are
     // they pushed back to the device.
-    verify_or_rederive_chk_checkpoints(i);
-    copy_h2d_async(s_, ckpt_chkc_.cview(), d_chkc_.view());
-    copy_h2d(s_, ckpt_chkr_.cview(), d_chkr_.view());
+    if (!chk_.intact()) {
+      const std::vector<double> fc = fresh_sums(i, /*col=*/false);
+      chk_.rederive(fc, fresh_sums(i, /*col=*/true));
+    }
+    chk_.restore();
   }
 
   // -- Checkpoint integrity (the checkpoint itself is a fault target). ------
-  // Dual sums (plain + position-weighted) compared bitwise at restore time:
-  // any corruption of the host buffers between save and restore — including
-  // NaN, which is unequal to itself — flips at least one sum. Panels and
-  // checksum vectors carry separate sum pairs because their re-derivation
-  // sources differ.
-  static bool bits_equal(double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  }
-
-  void panel_checkpoint_sums(double& s1, double& s2, index_t i, index_t ib) const {
+  // The panels and the checksum vectors carry separate sum pairs because
+  // their re-derivation sources differ.
+  [[nodiscard]] DualSum panel_checkpoint_sums(index_t i, index_t ib) const {
     const index_t tn = n_ - i - ib;
-    s1 = 0.0;
-    s2 = 0.0;
+    DualSum s;
     for (index_t j = 0; j < ib; ++j) {
-      for (index_t r = 0; r < n_ - i; ++r) {
-        const double v = ckpt_cols_(r, j);
-        s1 += v;
-        s2 += v * static_cast<double>((r + 1) + (j + 1) * n_);
-      }
-      for (index_t c = 0; c < tn; ++c) {
-        const double v = ckpt_rows_(j, c);
-        s1 += v;
-        s2 += v * static_cast<double>((c + 1) + (j + 1) * (n_ + 7));
-      }
+      for (index_t r = 0; r < n_ - i; ++r)
+        s.add(ckpt_cols_(r, j), static_cast<double>((r + 1) + (j + 1) * n_));
+      for (index_t c = 0; c < tn; ++c)
+        s.add(ckpt_rows_(j, c), static_cast<double>((c + 1) + (j + 1) * (n_ + 7)));
     }
-  }
-
-  void chk_checkpoint_sums(double& s1, double& s2) const {
-    s1 = 0.0;
-    s2 = 0.0;
-    for (index_t r = 0; r < n_; ++r) {
-      s1 += ckpt_chkc_(r, 0) + ckpt_chkr_(r, 0);
-      s2 += ckpt_chkc_(r, 0) * static_cast<double>(r + 1) +
-            ckpt_chkr_(r, 0) * static_cast<double>(n_ + r + 1);
-    }
-  }
-
-  void save_checkpoint_sums(index_t i, index_t ib) {
-    panel_checkpoint_sums(ckpt_sum1_, ckpt_sum2_, i, ib);
-    chk_checkpoint_sums(ckpt_csum1_, ckpt_csum2_);
-  }
-
-  /// Bitwise cross-check of the freshly saved vector checkpoints against
-  /// the device's maintained vectors (raw task readback, not a transfer —
-  /// so a transfer fault cannot strike both sides).
-  void verify_chk_checkpoint_save() {
-    Matrix<double> ref(n_, 2);
-    auto rv = ref.view();
-    auto cc = d_chkc_.view();
-    auto cr = d_chkr_.view();
-    s_.enqueue("ft.ckpt_readback", FTH_TASK_EFFECTS(FTH_READS(cc, cr) FTH_WRITES(rv)),
-                [rv, cc, cr, n = n_]() mutable {
-      auto cch = cc.in_task();
-      auto crh = cr.in_task();
-      for (index_t r = 0; r < n; ++r) {
-        rv(r, 0) = cch(r, 0);
-        rv(r, 1) = crh(r, 0);
-      }
-    });
-    s_.synchronize();
-    for (index_t r = 0; r < n_; ++r) {
-      if (!bits_equal(ckpt_chkc_(r, 0), ref(r, 0))) {
-        ckpt_chkc_(r, 0) = ref(r, 0);
-        ++rep_.ckpt_rederivations;
-        obs::counter_metric("ft.ckpt_rederivations").add();
-        obs::instant("ft", "ckpt_rederive");
-      }
-      if (!bits_equal(ckpt_chkr_(r, 0), ref(r, 1))) {
-        ckpt_chkr_(r, 0) = ref(r, 1);
-        ++rep_.ckpt_rederivations;
-        obs::counter_metric("ft.ckpt_rederivations").add();
-        obs::instant("ft", "ckpt_rederive");
-      }
-    }
-  }
-
-  void verify_or_rederive_panel_checkpoints(index_t i, index_t ib) {
-    double s1 = 0.0;
-    double s2 = 0.0;
-    panel_checkpoint_sums(s1, s2, i, ib);
-    if (bits_equal(s1, ckpt_sum1_) && bits_equal(s2, ckpt_sum2_)) return;
-    // Struck after save. The device's panel blocks are never written during
-    // the iteration (the panels are factored on the host, the GEMMs start
-    // at i+ib), so they still hold the exact pre-iteration image.
-    const index_t tn = n_ - i - ib;
-    copy_d2h_async(s_, d_a_.block(i, i, n_ - i, ib), ckpt_cols_.block(0, 0, n_ - i, ib));
-    copy_d2h(s_, d_a_.block(i, i + ib, ib, tn), ckpt_rows_.block(0, 0, ib, tn));
-    panel_checkpoint_sums(ckpt_sum1_, ckpt_sum2_, i, ib);
-    ++rep_.ckpt_rederivations;
-    obs::counter_metric("ft.ckpt_rederivations").add();
-    obs::instant("ft", "ckpt_rederive");
-  }
-
-  void verify_or_rederive_chk_checkpoints(index_t i) {
-    double s1 = 0.0;
-    double s2 = 0.0;
-    chk_checkpoint_sums(s1, s2);
-    if (bits_equal(s1, ckpt_csum1_) && bits_equal(s2, ckpt_csum2_)) return;
-    // Struck after save: re-derive both codes from the rolled-back data
-    // (the caller restored the trailing matrix and the panels first). An
-    // undetected fault older than the last check would be encoded
-    // consistently here — the residual double-fault window DESIGN.md §9
-    // documents.
-    const std::vector<double> fc = fresh_sums(i, /*col=*/false);
-    const std::vector<double> fr = fresh_sums(i, /*col=*/true);
-    for (index_t r = 0; r < n_; ++r) {
-      ckpt_chkc_(r, 0) = fc[static_cast<std::size_t>(r)];
-      ckpt_chkr_(r, 0) = fr[static_cast<std::size_t>(r)];
-    }
-    chk_checkpoint_sums(ckpt_csum1_, ckpt_csum2_);
-    ++rep_.ckpt_rederivations;
-    obs::counter_metric("ft.ckpt_rederivations").add();
-    obs::instant("ft", "ckpt_rederive");
+    return s;
   }
 
   void set_element(index_t row, index_t col, double v, index_t i) {
@@ -735,8 +505,8 @@ class FtGebrdDriver {
     for (const auto& t : targets) set_element(t.row, t.col, 0.0, i);
     const std::vector<double> base_row = fresh_sums(i, false);
     const std::vector<double> base_col = fresh_sums(i, true);
-    const std::vector<double> chkc = fetch_chk(false);
-    const std::vector<double> chkr = fetch_chk(true);
+    const std::vector<double> chkc = chk_.fetch(false);
+    const std::vector<double> chkr = chk_.fetch(true);
     for (const auto& t : targets) {
       const double code = t.use_row_code ? chkc[static_cast<std::size_t>(t.row)]
                                          : chkr[static_cast<std::size_t>(t.col)];
@@ -750,9 +520,7 @@ class FtGebrdDriver {
       set_element(t.row, t.col, code - rest, i);
       ev.errors.push_back({t.row, t.col, 0.0});
       ++ev.reconstructions;
-      ++rep_.reconstructions;
-      obs::counter_metric("ft.reconstructions").add();
-      obs::instant("ft", "reconstruction");
+      proto_.reconstructed();
     }
     // Checksum storage the non-finite values propagated through is
     // re-encoded from the now-finite data.
@@ -814,7 +582,8 @@ class FtGebrdDriver {
   }
 
   void inject_at_boundary(index_t boundary, index_t i_next) {
-    const auto due = inj_->due(boundary, total_boundaries_, i_next, n_, scale_max_);
+    const auto due =
+        inj_->due(boundary, proto_.total_boundaries(), i_next, n_, proto_.scale_max());
     bool device_faults = false;
     for (const auto& f : due) {
       if (f.row >= i_next && f.col >= i_next) {
@@ -837,67 +606,29 @@ class FtGebrdDriver {
     if (device_faults) s_.synchronize();
   }
 
-  void final_phase() {
+  void final_sweep(FtEvent& ev) override {
+    worst_gap_ = 0.0;
+    FreshSums fresh;
+    const Discrepancy disc = compare(n_ - 1, &fresh);
+    if (disc.clean()) return;
+    apply_corrections(ft::locate(disc, fresh, threshold_), n_ - 1, ev);
     copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
+  }
 
-    if (opt_.final_sweep) {
-      rep_.final_sweep_ran = true;
-      WallTimer t;
-      obs::TraceSpan sweep_span("ft", "final_sweep");
-      worst_gap_ = 0.0;
-      FreshSums fresh;
-      const Discrepancy disc = compare(n_ - 1, &fresh);
-      if (!disc.clean()) {
-        FtEvent ev;
-        try {
-          const LocateResult res = locate(disc, fresh, threshold_);
-          apply_corrections(res, n_ - 1, ev);
-        } catch (const recovery_error& e) {
-          abort_recovery(rep_.outcome, "ft_gebrd", AbortReason::AmbiguousPattern,
-                         total_boundaries_, 0, 0.0, threshold_,
-                         std::string("final sweep: ") + e.what());
-        }
-        rep_.final_sweep_corrections =
-            ev.data_corrections + ev.checksum_corrections + ev.reconstructions;
-        rep_.data_corrections += ev.data_corrections;
-        rep_.checksum_corrections += ev.checksum_corrections;
-        obs::counter_metric("ft.data_corrections")
-            .add(static_cast<std::uint64_t>(ev.data_corrections));
-        obs::counter_metric("ft.checksum_corrections")
-            .add(static_cast<std::uint64_t>(ev.checksum_corrections));
-        copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
-      }
-      rep_.detect_seconds += t.seconds();
-    }
-
-    if (opt_.protect_qp) {
-      WallTimer qt;
-      obs::TraceSpan q_span("ft", "q_verify");
-      const double q_tol =
-          1e3 * eps<double>() * static_cast<double>(n_) * std::max(1.0, scale_max_);
-      const auto vres = qp_v_.verify_and_correct(a_, n_ - 1, q_tol);
-      rep_.q_corrections += vres.corrections;
-      // The P family is verified on the transposed mirror. Refresh it from
-      // the live row storage first — the point is to check the *current*
-      // bytes against the generation-time checksums — then copy any
-      // corrections back.
+  int verify_q(double tol) override {
+    const int v_corrections = qp_v_.verify_and_correct(a_, n_ - 1, tol).corrections;
+    // The P family is verified on the transposed mirror. Refresh it from
+    // the live row storage first — the point is to check the *current*
+    // bytes against the generation-time checksums — then copy any
+    // corrections back.
+    for (index_t r = 0; r + 1 < n_; ++r)
+      for (index_t c = r + 2; c < n_; ++c) at_mirror_(c, r) = a_(r, c);
+    const int u_corrections = qp_u_.verify_and_correct(at_mirror_.view(), n_ - 1, tol).corrections;
+    if (u_corrections > 0) {
       for (index_t r = 0; r + 1 < n_; ++r)
-        for (index_t c = r + 2; c < n_; ++c) at_mirror_(c, r) = a_(r, c);
-      const auto ures = qp_u_.verify_and_correct(at_mirror_.view(), n_ - 1, q_tol);
-      if (ures.corrections > 0) {
-        for (index_t r = 0; r + 1 < n_; ++r)
-          for (index_t c = r + 2; c < n_; ++c) a_(r, c) = at_mirror_(c, r);
-      }
-      rep_.q_corrections += ures.corrections;
-      obs::counter_metric("ft.q_corrections")
-          .add(static_cast<std::uint64_t>(vres.corrections + ures.corrections));
-      rep_.q_seconds += qt.seconds();
+        for (index_t c = r + 2; c < n_; ++c) a_(r, c) = at_mirror_(c, r);
     }
-
-    // Single source of truth: extract d and e from the host matrix.
-    for (index_t r = 0; r < n_; ++r) d_[r] = a_(r, r);
-    for (index_t r = 0; r + 1 < n_; ++r) e_[r] = a_(r, r + 1);
-    tauq_[n_ - 1] = 0.0;  // the last left reflector has an empty tail
+    return v_corrections + u_corrections;
   }
 
   hybrid::Stream& s_;
@@ -908,20 +639,13 @@ class FtGebrdDriver {
   VectorView<double> taup_;
   const FtGebrdOptions& opt_;
   fault::Injector* inj_;
-  FtReport& rep_;
   hybrid::HybridGehrdStats& st_;
 
   index_t n_;
-  double threshold_ = 0.0;
-  double scale_max_ = 0.0;
+  double threshold_;
+  fault::FaultPlane* plane_;  ///< optional in-flight fault plane (not owned)
   double worst_gap_ = 0.0;
   bool has_nonfinite_ = false;
-  index_t total_boundaries_ = 0;
-  fault::FaultPlane* plane_ = nullptr;
-  double ckpt_sum1_ = 0.0;
-  double ckpt_sum2_ = 0.0;
-  double ckpt_csum1_ = 0.0;
-  double ckpt_csum2_ = 0.0;
 
   hybrid::DeviceMatrix<double> d_a_;
   hybrid::DeviceMatrix<double> d_v2_;
@@ -941,8 +665,6 @@ class FtGebrdDriver {
   Matrix<double> y_host_;
   Matrix<double> ckpt_cols_;
   Matrix<double> ckpt_rows_;
-  Matrix<double> ckpt_chkc_;
-  Matrix<double> ckpt_chkr_;
   // Re-encode staging segment, hoisted out of the update loop: the async
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.
@@ -952,6 +674,10 @@ class FtGebrdDriver {
   QProtector qp_u_;
   QProtector::PanelChecksums pending_v_;
   QProtector::PanelChecksums pending_u_;
+  LocateResult located_;  ///< what locate() found, for correct()
+  DualSum ckpt_sum_;      ///< integrity sums of both panel checkpoints, at save
+  ChecksumPair chk_;      ///< row-sum / column-sum vectors and their checkpoint
+  Protocol proto_;
 };
 
 }  // namespace
@@ -967,28 +693,14 @@ void ft_gebrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
                 taup.size() >= std::max<index_t>(n - 1, 0),
             "ft_gebrd: e/taup too short");
   FTH_CHECK(opt.nb >= 1 && opt.detect_every >= 1, "ft_gebrd: bad options");
-
-  FtReport local_rep;
-  hybrid::HybridGehrdStats local_st;
-  FtReport& rep = report != nullptr ? *report : local_rep;
-  hybrid::HybridGehrdStats& st = stats != nullptr ? *stats : local_st;
-  rep = {};
-  st = {};
-
-  obs::TraceSpan run_span("ft", "gebrd", "n", static_cast<double>(n));
-  WallTimer total;
-  const hybrid::detail::StatsScope scope(dev);
-
-  if (n > 2) {
-    FtGebrdDriver driver(dev, a, d, e, tauq, taup, opt, injector, rep, st);
-    driver.run();
-  } else if (n > 0) {
-    // Trivial sizes: the unblocked code is exact and cheap.
-    lapack::gebd2(a, d, e, tauq, taup);
-  }
-
-  st.total_seconds = total.seconds();
-  scope.finish(st);
+  run_entry(dev, "gebrd", n, report, stats, [&](FtReport& rep, hybrid::HybridGehrdStats& st) {
+    if (n > 2) {
+      FtGebrdDriver(dev, a, d, e, tauq, taup, opt, injector, rep, st).run();
+    } else if (n > 0) {
+      // Trivial sizes: the unblocked code is exact and cheap.
+      lapack::gebd2(a, d, e, tauq, taup);
+    }
+  });
 }
 
 }  // namespace fth::ft

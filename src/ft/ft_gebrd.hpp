@@ -22,21 +22,13 @@
 
 #include "fault/injector.hpp"
 #include "ft/ft_gehrd.hpp"  // FtReport / FtEvent / LocatedError
+#include "ft/ft_sytrd.hpp"  // FtSytrdOptions
 #include "hybrid/hybrid_gehrd.hpp"
 
 namespace fth::ft {
 
-struct FtGebrdOptions {
-  index_t nb = 32;
-  double threshold = 0.0;  ///< per-line detection tolerance; 0 → scaled default
-  double threshold_factor = 500.0;
-  bool protect_qp = true;   ///< protect both Householder families
-  bool final_sweep = true;
-  int max_retries = 3;
-  index_t detect_every = 1;  ///< same amortization knob as ft_sytrd
-  /// Optional in-flight fault plane (see FtOptions::fault_plane).
-  fault::FaultPlane* fault_plane = nullptr;
-};
+/// Same knobs as ft_sytrd; `detect_every` amortizes the two-GEMV check.
+using FtGebrdOptions = FtSytrdOptions;
 
 /// Reduce the square matrix `a` to upper bidiagonal form with
 /// transient-error resilience. Output contract of lapack::gebrd.
@@ -45,7 +37,8 @@ void ft_gebrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
               const FtGebrdOptions& opt = {}, fault::Injector* injector = nullptr,
               FtReport* report = nullptr, hybrid::HybridGehrdStats* stats = nullptr);
 
-/// Number of panel iterations ft_gebrd executes for size n, block nb.
-index_t ft_gebrd_boundaries(index_t n, index_t nb);
+/// Number of panel iterations ft_gebrd executes for size n, block nb (the
+/// same blocking as ft_gehrd).
+inline constexpr auto& ft_gebrd_boundaries = ft_total_boundaries;
 
 }  // namespace fth::ft

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -11,33 +9,20 @@
 #include "common/timer.hpp"
 #include "fault/fault_plane.hpp"
 #include "ft/checksum.hpp"
+#include "ft/protocol.hpp"
 #include "ft/q_protect.hpp"
-#include "ft/recovery.hpp"
 #include "ft/reverse.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
 #include "la/blas3.hpp"
 #include "la/norms.hpp"
-#include "obs/dag.hpp"
-#include "obs/journal.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "lapack/lahr2_impl.hpp"
 #include "lapack/orghr.hpp"
 #include "lapack/reflectors.hpp"
 
 namespace fth::ft {
-
-index_t ft_total_boundaries(index_t n, index_t nb) {
-  index_t count = 0;
-  index_t i = 0;
-  while (i < n - 1) {
-    i += std::min(nb, n - 1 - i);
-    ++count;
-  }
-  return count;
-}
 
 namespace {
 
@@ -46,43 +31,13 @@ using hybrid::copy_d2h_async;
 using hybrid::copy_h2d;
 using hybrid::copy_h2d_async;
 
-/// Thrown by the panel tripwire when a device-assisted y column comes back
-/// non-finite: the reflector chain would smear NaN/Inf across the whole
-/// trailing matrix, so the panel is abandoned before any update is applied.
-struct panel_poisoned_error {};
-
-/// RAII bracket telling the fault plane a recovery re-execution is active
-/// (DuringRecovery faults only count triggers inside the bracket).
-class RecoveryScope {
- public:
-  explicit RecoveryScope(fault::FaultPlane* p) : p_(p) {
-    if (p_ != nullptr) p_->set_in_recovery(true);
-  }
-  ~RecoveryScope() {
-    if (p_ != nullptr) p_->set_in_recovery(false);
-  }
-  RecoveryScope(const RecoveryScope&) = delete;
-  RecoveryScope& operator=(const RecoveryScope&) = delete;
-
- private:
-  fault::FaultPlane* p_;
-};
-
-/// Detection result: the grand-total gap plus a count of non-finite
-/// entries anywhere in the extended matrix. The scan is needed because an
-/// unpropagated NaN in the data leaves both grand totals NaN — detected —
-/// but a NaN pair can also cancel into a *finite* bogus gap, and an Inf
-/// strike that has not reached a checksum yet changes neither total.
-struct DetectResult {
-  double gap = 0.0;
-  index_t nonfinite = 0;
-  [[nodiscard]] bool clean(double threshold) const {
-    return gap <= threshold && nonfinite == 0;  // NaN gap fails the comparison
-  }
-};
+double gehrd_threshold(MatrixView<const double> a, const FtOptions& opt) {
+  return opt.threshold > 0 ? opt.threshold
+                           : default_threshold(norm_fro(a), a.rows(), opt.threshold_factor);
+}
 
 /// All state of one fault-tolerant reduction (Algorithm 3).
-class FtDriver {
+class FtDriver final : public Code {
  public:
   FtDriver(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
            const FtOptions& opt, fault::Injector* inj, FtReport& rep,
@@ -93,9 +48,9 @@ class FtDriver {
         tau_(tau),
         opt_(opt),
         inj_(inj),
-        rep_(rep),
         st_(st),
         n_(a.rows()),
+        plane_(opt.fault_plane),
         d_e_(dev, n_ + 1, n_ + 1, "ft.d_e"),
         d_vce_(dev, n_, std::max<index_t>(opt.nb, 1), "ft.d_vce"),
         d_t_(dev, std::max<index_t>(opt.nb, 1), std::max<index_t>(opt.nb, 1), "ft.d_t"),
@@ -108,60 +63,38 @@ class FtDriver {
         ckpt_chkrow_(1, std::max<index_t>(opt.nb, 1)),
         new_chkrow_(1, std::max<index_t>(opt.nb, 1)),
         ext_scratch_(n_ + 1, n_ + 1),
-        qp_(n_) {
-    const double fro = norm_fro(MatrixView<const double>(a_));
-    scale_max_ = norm_max(MatrixView<const double>(a_));
-    threshold_ = opt.threshold > 0 ? opt.threshold
-                                   : default_threshold(fro, n_, opt.threshold_factor);
-    loc_tol_ = opt.locate_tol > 0 ? opt.locate_tol : threshold_;
-    rep_.threshold = threshold_;
-    total_boundaries_ = ft_total_boundaries(n_, opt.nb);
-    plane_ = opt.fault_plane;
-    if (plane_ != nullptr) plane_->bind(dev);
+        qp_(n_),
+        proto_("ft_gehrd", dev, *this, rep, a, opt, gehrd_threshold(a, opt)) {
+    loc_tol_ = opt.locate_tol > 0 ? opt.locate_tol : proto_.threshold();
   }
 
-  ~FtDriver() {
-    if (plane_ != nullptr) {
-      // Drain the stream so no hook invocation is in flight when the hooks
-      // come down (the plane may be destroyed right after the driver).
-      try {
-        s_.synchronize();
-      } catch (...) {  // NOLINT(bugprone-empty-catch): unwinding already
-      }
-      plane_->unbind();
-    }
-  }
-
+  // The boundary loop. Faults are planted after the boundary's check, so a
+  // boundary-k strike is detected at boundary k+1.
   void run() {
-    encode();
+    proto_.encode();
     index_t i = 0;
     index_t boundary = 0;
     while (i < n_ - 1) {
       const index_t ib = std::min(opt_.nb, n_ - 1 - i);
       const bool completed = run_iteration(i, ib);
-      ensure_clean(boundary + 1, i, ib, completed);
+      proto_.ensure_clean(boundary + 1, i, ib, completed);
       if (opt_.protect_q) qp_.commit(pending_q_);
       ++boundary;
       ++st_.panels;
       i += ib;
       if (inj_ != nullptr) inject_at_boundary(boundary, i);
     }
-    final_phase();
-    // Clean means NOTHING fired: a run that survived only because a
-    // checkpoint was re-derived, a non-finite element reconstructed, or a
-    // poisoned panel abandoned was still a recovery.
-    rep_.outcome.status = (rep_.detections > 0 || rep_.final_sweep_corrections > 0 ||
-                           rep_.q_corrections > 0 || rep_.ckpt_rederivations > 0 ||
-                           rep_.reconstructions > 0 || rep_.panel_aborts > 0)
-                              ? RecoveryStatus::Recovered
-                              : RecoveryStatus::Clean;
+    proto_.final_sweep();
+    // Bring down the last column (never part of any panel).
+    copy_d2h(s_, d_e_.block(0, n_ - 1, n_, 1), a_.block(0, n_ - 1, n_, 1));
+    proto_.verify_q();
+    proto_.report().checksum_update_seconds = chk_update_seconds_;
+    proto_.conclude();
   }
 
  private:
   // -- Algorithm 3 line 2: encode the matrix on the device. ----------------
-  void encode() {
-    WallTimer t;
-    obs::TraceSpan span("ft", "encode", "n", static_cast<double>(n_));
+  void encode() override {
     copy_h2d_async(s_, MatrixView<const double>(a_), d_e_.block(0, 0, n_, n_));
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
     auto ones_n = d_ones_.view().col(0).sub(0, n_);
@@ -176,21 +109,17 @@ class FtDriver {
       auto eh = e.in_task();
       eh(n, n) = blas::sum(VectorView<const double>(eh.row(n).sub(0, n)));
     });
-    // Intentional full barrier, once per run: mark_encoded() below opens
-    // the fault gate, and the codes must exist on the device before any
-    // strike is allowed — a narrower transfer-only edge would let faults
-    // fire under the encode kernels. fth-perf: expect coarse-synchronize
+    // Intentional full barrier, once per run: the protocol opens the fault
+    // gate (mark_encoded()) next, and the codes must exist on the device
+    // before any strike is allowed — a narrower transfer-only edge would
+    // let faults fire under the encode kernels. fth-perf: expect coarse-synchronize
     s_.synchronize();
-    rep_.encode_seconds += t.seconds();
-    // Faults are gated until the codes exist: an earlier strike would be
-    // encoded consistently and become a different (but protected) input.
-    if (plane_ != nullptr) plane_->mark_encoded();
   }
 
   // -- One full panel iteration (Algorithm 3 lines 4–11). ------------------
   // Returns false if the panel tripwire aborted the iteration before any
   // update was applied (the caller then rolls back the panel and redoes it).
-  bool run_iteration(index_t i, index_t ib) {
+  bool run_iteration(index_t i, index_t ib) override {
     const index_t vrows = n_ - i - 1;
     const index_t width = n_ + 1 - i - ib;  // trailing data columns + checksum column
     auto e = d_e_.view();
@@ -276,10 +205,7 @@ class FtDriver {
     st_.panel_seconds += panel_timer.seconds();
     if (poisoned) {
       s_.synchronize();
-      ++rep_.panel_aborts;
-      obs::counter_metric("ft.panel_aborts").add();
-      obs::instant("ft", "panel_abort");
-      obs::journal_log(obs::JournalSeverity::Warn, "ft", "panel_abort", -1, 0.0, i);
+      proto_.panel_aborted(i);
       return false;
     }
 
@@ -362,7 +288,7 @@ class FtDriver {
         WallTimer qt;
         obs::TraceSpan q_span("ft", "q_checksum");
         pending_q_ = qp_.compute_panel(MatrixView<const double>(a_), i, ib);
-        rep_.q_seconds += qt.seconds();
+        proto_.report().q_seconds += qt.seconds();
       }
       // The wait also retires the V/T/Y uploads, so the stack-local V
       // staging buffer may die at the end of this scope with no transfer
@@ -401,123 +327,16 @@ class FtDriver {
     return true;
   }
 
-  // -- Lines 12–16: detect, and if needed roll back / locate / correct / redo.
-  // The escalation ladder on a dirty boundary: bounded retries of
-  // (rollback → checkpoint verify/re-derive → locate → correct → redo);
-  // every exit that cannot restore a consistent state goes through
-  // abort_recovery, which fills rep_.outcome before throwing.
-  void ensure_clean(index_t boundary, index_t i, index_t ib, bool completed) {
-    int attempts = 0;
-    for (;;) {
-      DetectResult det;
-      if (completed) {
-        det = detect(i + ib);
-        if (det.clean(threshold_)) {
-          rep_.max_fault_free_gap = std::max(rep_.max_fault_free_gap, det.gap);
-          return;
-        }
-      } else {
-        // The panel tripwire already proved the iteration unusable; there
-        // is nothing meaningful to measure, so synthesize the detection.
-        det.gap = std::numeric_limits<double>::quiet_NaN();
-        det.nonfinite = 1;
-      }
-      ++rep_.detections;
-      obs::instant("ft", "detection");
-      obs::counter_metric("ft.detections").add();
-      obs::journal_log(obs::JournalSeverity::Warn, "ft", "detect", -1, det.gap, boundary);
-      if (det.nonfinite > 0) obs::counter_metric("ft.nonfinite_detections").add();
-      if (++attempts > opt_.max_retries) {
-        std::ostringstream os;
-        os << "gap " << det.gap << " > threshold " << threshold_ << " with "
-           << det.nonfinite << " non-finite entries after exhausting retries";
-        abort_recovery(rep_.outcome, "ft_gehrd", AbortReason::RetriesExhausted, boundary,
-                       attempts - 1, det.gap, threshold_, os.str());
-      }
-
-      WallTimer rt;
-      FtEvent ev;
-      ev.boundary = boundary;
-      ev.gap = det.gap;
-      ev.panel_poisoned = !completed;
-
-      {
-        // The DAG mark makes recovery episodes visible on the host chain,
-        // so fth_why can separate rollback-induced stalls from steady-state
-        // pipeline waits.
-        obs::dag::mark("ft.rollback");
-        obs::TraceSpan rb_span("ft", "rollback", "col", static_cast<double>(i));
-        rollback(i, ib, completed);
-      }
-      ++rep_.rollbacks;
-      obs::counter_metric("ft.rollbacks").add();
-      obs::journal_log(obs::JournalSeverity::Info, "ft", "rollback", -1,
-                       static_cast<double>(attempts), boundary);
-
-      try {
-        // Pass 1 may reconstruct non-finite elements from the orthogonal
-        // code; when huge intermediates were involved the rollback leaves
-        // finite round-off residue behind, so a second pass mops that up.
-        for (int pass = 0; pass < 2; ++pass) {
-          LocateResult res;
-          {
-            obs::TraceSpan loc_span("ft", "locate");
-            res = locate_errors(i);
-          }
-          int chk_repairs = 0;
-          {
-            obs::TraceSpan fix_span("ft", "correct");
-            chk_repairs = apply_corrections(res, i);
-          }
-          ev.errors.insert(ev.errors.end(), res.data_errors.begin(), res.data_errors.end());
-          ev.data_corrections += static_cast<int>(res.data_errors.size());
-          ev.checksum_corrections = ev.checksum_corrections + chk_repairs +
-                                    static_cast<int>(res.chk_col_errors.size() +
-                                                     res.chk_row_errors.size());
-          ev.reconstructions += static_cast<int>(res.reconstructions.size());
-          if (res.reconstructions.empty()) break;  // nothing re-derived → no residue
-        }
-      } catch (const recovery_error& e) {
-        // Location (or reconstruction) gave up: the pattern exceeds the
-        // code's correction capability. Record the abandoned iteration,
-        // then abort with the structured cause.
-        const AbortReason why = det.nonfinite > 0 ? AbortReason::NonfiniteDamage
-                                                  : AbortReason::AmbiguousPattern;
-        rep_.events.push_back(std::move(ev));
-        abort_recovery(rep_.outcome, "ft_gehrd", why, boundary, attempts, det.gap,
-                       threshold_, e.what());
-      }
-      ev.checkpoint_only = ev.data_corrections == 0 && ev.checksum_corrections == 0 &&
-                           ev.reconstructions == 0;
-      rep_.data_corrections += ev.data_corrections;
-      rep_.checksum_corrections += ev.checksum_corrections;
-      obs::counter_metric("ft.data_corrections").add(static_cast<std::uint64_t>(ev.data_corrections));
-      obs::counter_metric("ft.checksum_corrections")
-          .add(static_cast<std::uint64_t>(ev.checksum_corrections));
-      if (ev.checkpoint_only) obs::counter_metric("ft.checkpoint_only_recoveries").add();
-      rep_.events.push_back(std::move(ev));
-
-      {
-        obs::dag::mark("ft.reexec");
-        obs::TraceSpan redo_span("ft", "reexec", "col", static_cast<double>(i));
-        obs::counter_metric("ft.reexecutions").add();
-        obs::journal_log(obs::JournalSeverity::Info, "ft", "reexec", -1,
-                         static_cast<double>(attempts), boundary);
-        const RecoveryScope in_recovery(plane_);
-        completed = run_iteration(i, ib);  // redo from the restored checkpoint
-      }
-      rep_.recovery_seconds += rt.seconds();
-    }
-  }
-
-  // Detection: grand-total gap plus a non-finite scan over the live region
-  // (trailing columns + both checksum lines; finished device columns are
-  // dead storage whose truth lives on the host). `first_col` is the first
-  // trailing column at this boundary.
-  DetectResult detect(index_t first_col) {
-    WallTimer t;
-    obs::TraceSpan span("ft", "detect");
-    DetectResult det;
+  // -- Lines 12–16 (the ladder is ft::Protocol's): detect, roll back, locate,
+  // correct. Detection is the grand-total gap plus a non-finite scan over the
+  // live region (trailing columns + both checksum lines; finished device
+  // columns are dead storage whose truth lives on the host). The scan is
+  // needed because an unpropagated NaN leaves both grand totals NaN —
+  // detected — but a NaN pair can also cancel into a *finite* bogus gap, and
+  // an Inf strike that has not reached a checksum yet changes neither total.
+  Detection detect(index_t i, index_t ib) override {
+    const index_t first_col = i + ib;
+    Detection det;
     auto e = d_e_.view();
     s_.enqueue("ft.detect", FTH_TASK_EFFECTS(FTH_READS(e)),
                [this, e, n = n_, first_col, &det] {
@@ -532,16 +351,33 @@ class FtDriver {
       det.nonfinite = nf;
     });
     s_.synchronize();
-    rep_.detect_seconds += t.seconds();
-    if (std::isfinite(det.gap)) {
-      obs::histogram_metric("ft.detect_gap").observe(det.gap);
-      obs::counter("ft.detect_gap", det.gap);
-    }
+    det.dirty = !(det.gap <= proto_.threshold()) || det.nonfinite > 0;  // NaN gap is dirty
     return det;
   }
 
+  [[nodiscard]] std::string describe(const Detection& det) const override {
+    std::ostringstream os;
+    os << "gap " << det.gap << " > threshold " << proto_.threshold() << " with "
+       << det.nonfinite << " non-finite entries";
+    return os.str();
+  }
+
+  void locate(index_t i) override { located_ = locate_errors(i); }
+
+  bool correct(index_t i, FtEvent& ev) override {
+    const LocateResult& res = located_;
+    const int chk_repairs = apply_corrections(res, i);
+    ev.errors.insert(ev.errors.end(), res.data_errors.begin(), res.data_errors.end());
+    ev.data_corrections += static_cast<int>(res.data_errors.size());
+    ev.checksum_corrections = ev.checksum_corrections + chk_repairs +
+                              static_cast<int>(res.chk_col_errors.size() +
+                                               res.chk_row_errors.size());
+    ev.reconstructions += static_cast<int>(res.reconstructions.size());
+    return !res.reconstructions.empty();  // nothing re-derived → no residue
+  }
+
   // -- Line 14: reverse computation (exact, the factors are still live). ---
-  void rollback(index_t i, index_t ib, bool completed) {
+  void rollback(index_t i, index_t ib, bool completed) override {
     const index_t vrows = n_ - i - 1;
     const index_t width = n_ + 1 - i - ib;
     auto e = d_e_.view();
@@ -588,62 +424,51 @@ class FtDriver {
   // disagreement is what locates the fault after rollback. A fused pair
   // would force a data-only strike to re-derive the (pristine) code from
   // the faulty data, encoding the fault as correct — a silent-wrong result.
-  void panel_checkpoint_sums(double& s1, double& s2, index_t ib) const {
-    s1 = 0.0;
-    s2 = 0.0;
-    for (index_t j = 0; j < ib; ++j) {
-      for (index_t r = 0; r < n_; ++r) {
-        const double v = ckpt_(r, j);
-        s1 += v;
-        s2 += v * static_cast<double>((r + 1) + (j + 1) * (n_ + 1));
-      }
-    }
+  [[nodiscard]] DualSum panel_checkpoint_sums(index_t ib) const {
+    DualSum s;
+    for (index_t j = 0; j < ib; ++j)
+      for (index_t r = 0; r < n_; ++r)
+        s.add(ckpt_(r, j), static_cast<double>((r + 1) + (j + 1) * (n_ + 1)));
+    return s;
   }
 
-  void chkrow_checkpoint_sums(double& s1, double& s2, index_t ib) const {
-    s1 = 0.0;
-    s2 = 0.0;
-    for (index_t j = 0; j < ib; ++j) {
-      const double c = ckpt_chkrow_(0, j);
-      s1 += c;
-      s2 += c * static_cast<double>((n_ + 1) + (j + 1) * (n_ + 1));
-    }
-  }
-
-  static bool bits_equal(double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  [[nodiscard]] DualSum chkrow_checkpoint_sums(index_t ib) const {
+    DualSum s;
+    for (index_t j = 0; j < ib; ++j)
+      s.add(ckpt_chkrow_(0, j), static_cast<double>((n_ + 1) + (j + 1) * (n_ + 1)));
+    return s;
   }
 
   void save_checkpoint_sums(index_t ib) {
-    panel_checkpoint_sums(ckpt_sum1_, ckpt_sum2_, ib);
-    chkrow_checkpoint_sums(ckpt_csum1_, ckpt_csum2_, ib);
+    ckpt_sum_ = panel_checkpoint_sums(ib);
+    ckpt_csum_ = chkrow_checkpoint_sums(ib);
+  }
+
+  /// Raw task readback of the device's maintained checksum-row segment over
+  /// the panel (not a copy_* transfer, therefore not fault-eligible).
+  void read_chkrow(index_t i, index_t ib, MatrixView<double> dst) {
+    auto e = d_e_.view();
+    s_.enqueue("ft.chkrow_readback", FTH_TASK_EFFECTS(FTH_READS(e) FTH_WRITES(dst)),
+                [e, dst, i, ib, n = n_]() mutable {
+      auto eh = e.in_task();
+      for (index_t j = 0; j < ib; ++j) dst(0, j) = eh(n, i + j);
+    });
+    s_.synchronize();
   }
 
   void verify_chkrow_checkpoint(index_t i, index_t ib) {
     Matrix<double> ref(1, ib);
-    auto e = d_e_.view();
-    auto rv = ref.view();
-    s_.enqueue("ft.chkrow_readback", FTH_TASK_EFFECTS(FTH_READS(e) FTH_WRITES(rv)),
-                [e, rv, i, ib, n = n_]() mutable {
-      auto eh = e.in_task();
-      for (index_t j = 0; j < ib; ++j) rv(0, j) = eh(n, i + j);
-    });
-    s_.synchronize();
+    read_chkrow(i, ib, ref.view());
     for (index_t j = 0; j < ib; ++j) {
       if (!bits_equal(ckpt_chkrow_(0, j), ref(0, j))) {
         ckpt_chkrow_(0, j) = ref(0, j);
-        ++rep_.ckpt_rederivations;
-        obs::counter_metric("ft.ckpt_rederivations").add();
-        obs::instant("ft", "ckpt_rederive");
+        proto_.rederived();
       }
     }
   }
 
   void verify_or_rederive_checkpoint(index_t i, index_t ib, bool completed) {
-    double s1 = 0.0;
-    double s2 = 0.0;
-    panel_checkpoint_sums(s1, s2, ib);
-    if (!bits_equal(s1, ckpt_sum1_) || !bits_equal(s2, ckpt_sum2_)) {
+    if (!panel_checkpoint_sums(ib).same_bits(ckpt_sum_)) {
       // The panel image was struck after save. Escalate to re-derivation:
       // both block updates start at column i+ib, so the device panel
       // columns still hold the exact pre-iteration image. The checksum-row
@@ -651,15 +476,10 @@ class FtDriver {
       // which may legitimately disagree with the panel data (that
       // disagreement locates a fault that was saved into the checkpoint).
       copy_d2h(s_, d_e_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib));
-      panel_checkpoint_sums(ckpt_sum1_, ckpt_sum2_, ib);
-      ++rep_.ckpt_rederivations;
-      obs::counter_metric("ft.ckpt_rederivations").add();
-      obs::instant("ft", "ckpt_rederive");
+      ckpt_sum_ = panel_checkpoint_sums(ib);
+      proto_.rederived();
     }
-    double c1 = 0.0;
-    double c2 = 0.0;
-    chkrow_checkpoint_sums(c1, c2, ib);
-    if (!bits_equal(c1, ckpt_csum1_) || !bits_equal(c2, ckpt_csum2_)) {
+    if (!chkrow_checkpoint_sums(ib).same_bits(ckpt_csum_)) {
       // The checksum-row pre-image was struck. Prefer the device's
       // maintained segment (still pristine when the iteration never reached
       // its re-encode); once the re-encode has run, fall back to the
@@ -670,14 +490,7 @@ class FtDriver {
       // it into the column code and only the orthogonal row code can still
       // see it — a documented double-fault limitation (DESIGN.md §9).
       if (!completed) {
-        auto e = d_e_.view();
-        auto cv = ckpt_chkrow_.view();
-        s_.enqueue("ft.chkrow_readback", FTH_TASK_EFFECTS(FTH_READS(e) FTH_WRITES(cv)),
-                    [e, cv, i, ib, n = n_]() mutable {
-          auto eh = e.in_task();
-          for (index_t j = 0; j < ib; ++j) cv(0, j) = eh(n, i + j);
-        });
-        s_.synchronize();
+        read_chkrow(i, ib, ckpt_chkrow_.view());
       } else {
         for (index_t j = 0; j < ib; ++j) {
           double cs = 0.0;
@@ -685,10 +498,8 @@ class FtDriver {
           ckpt_chkrow_(0, j) = cs;
         }
       }
-      chkrow_checkpoint_sums(ckpt_csum1_, ckpt_csum2_, ib);
-      ++rep_.ckpt_rederivations;
-      obs::counter_metric("ft.ckpt_rederivations").add();
-      obs::instant("ft", "ckpt_rederive");
+      ckpt_csum_ = chkrow_checkpoint_sums(ib);
+      proto_.rederived();
     }
   }
 
@@ -698,7 +509,7 @@ class FtDriver {
     const FreshSums fresh =
         fresh_logical_sums(MatrixView<const double>(a_), ext_scratch_.cview(), i);
     const Discrepancy disc = compare_checksums(fresh, ext_scratch_.cview(), loc_tol_);
-    return locate(disc, fresh, loc_tol_);
+    return ft::locate(disc, fresh, loc_tol_);
   }
 
   // Returns the number of checksum entries repaired by the reconstruction
@@ -757,9 +568,7 @@ class FtDriver {
       } else {
         a_(t.row, t.col) = v;
       }
-      ++rep_.reconstructions;
-      obs::counter_metric("ft.reconstructions").add();
-      obs::instant("ft", "reconstruction");
+      proto_.reconstructed();
     }
     // Checksum storage the non-finite values propagated through (e.g. the
     // checksum-row entry of a poisoned column) is re-derived from the
@@ -799,7 +608,8 @@ class FtDriver {
   }
 
   void inject_at_boundary(index_t boundary, index_t i_next) {
-    const auto due = inj_->due(boundary, total_boundaries_, i_next, n_, scale_max_);
+    const auto due =
+        inj_->due(boundary, proto_.total_boundaries(), i_next, n_, proto_.scale_max());
     auto e = d_e_.view();
     bool device_faults = false;
     for (const auto& f : due) {
@@ -819,53 +629,12 @@ class FtDriver {
     if (device_faults) s_.synchronize();
   }
 
-  void final_phase() {
-    // Final sweep: catches errors that never propagated (finished H, the
-    // last trailing column, or checksum elements hit after the last check).
-    if (opt_.final_sweep) {
-      rep_.final_sweep_ran = true;
-      WallTimer t;
-      obs::TraceSpan sweep_span("ft", "final_sweep");
-      LocateResult res;
-      try {
-        res = locate_errors(n_ - 1);
-      } catch (const recovery_error& e) {
-        abort_recovery(rep_.outcome, "ft_gehrd", AbortReason::AmbiguousPattern,
-                       total_boundaries_, 0, 0.0, threshold_,
-                       std::string("final sweep: ") + e.what());
-      }
-      const int chk_repairs = apply_corrections(res, n_ - 1);
-      rep_.final_sweep_corrections =
-          static_cast<int>(res.data_errors.size() + res.chk_col_errors.size() +
-                           res.chk_row_errors.size() + res.reconstructions.size()) +
-          chk_repairs;
-      rep_.data_corrections += static_cast<int>(res.data_errors.size());
-      rep_.checksum_corrections +=
-          static_cast<int>(res.chk_col_errors.size() + res.chk_row_errors.size()) +
-          chk_repairs;
-      obs::counter_metric("ft.data_corrections").add(res.data_errors.size());
-      obs::counter_metric("ft.checksum_corrections")
-          .add(res.chk_col_errors.size() + res.chk_row_errors.size() +
-               static_cast<std::size_t>(chk_repairs));
-      rep_.detect_seconds += t.seconds();
-    }
-
-    // Bring down the last column (never part of any panel).
-    copy_d2h(s_, d_e_.block(0, n_ - 1, n_, 1), a_.block(0, n_ - 1, n_, 1));
-
-    // Section IV-E: verify + correct the Householder storage once.
-    if (opt_.protect_q) {
-      WallTimer qt;
-      obs::TraceSpan q_span("ft", "q_verify");
-      const double q_tol = 1e3 * eps<double>() * static_cast<double>(n_) *
-                           std::max(1.0, scale_max_);
-      const auto qres = qp_.verify_and_correct(a_, n_ - 1, q_tol);
-      rep_.q_corrections += qres.corrections;
-      obs::counter_metric("ft.q_corrections").add(static_cast<std::uint64_t>(qres.corrections));
-      rep_.q_seconds += qt.seconds();
-    }
-    rep_.checksum_update_seconds = chk_update_seconds_;
+  void final_sweep(FtEvent& ev) override {
+    locate(n_ - 1);
+    correct(n_ - 1, ev);
   }
+
+  int verify_q(double tol) override { return qp_.verify_and_correct(a_, n_ - 1, tol).corrections; }
 
   hybrid::Device& dev_;
   hybrid::Stream& s_;
@@ -873,14 +642,11 @@ class FtDriver {
   VectorView<double> tau_;
   const FtOptions& opt_;
   fault::Injector* inj_;
-  FtReport& rep_;
   hybrid::HybridGehrdStats& st_;
 
   index_t n_;
-  double threshold_ = 0.0;
+  fault::FaultPlane* plane_;  ///< optional in-flight fault plane (not owned)
   double loc_tol_ = 0.0;
-  double scale_max_ = 0.0;
-  index_t total_boundaries_ = 0;
   double chk_update_seconds_ = 0.0;  // written by stream tasks, read after sync
 
   hybrid::DeviceMatrix<double> d_e_;
@@ -898,12 +664,10 @@ class FtDriver {
   Matrix<double> ext_scratch_;  ///< host snapshot of the extended matrix (locate/reconstruct)
   QProtector qp_;
   QProtector::PanelChecksums pending_q_;
-
-  fault::FaultPlane* plane_ = nullptr;  ///< optional in-flight fault plane (not owned)
-  double ckpt_sum1_ = 0.0;  ///< dual integrity sums of the panel checkpoint, at save
-  double ckpt_sum2_ = 0.0;
-  double ckpt_csum1_ = 0.0;  ///< dual integrity sums of the checksum-row pre-image
-  double ckpt_csum2_ = 0.0;
+  LocateResult located_;  ///< what locate() found, for correct()
+  DualSum ckpt_sum_;      ///< integrity sums of the panel checkpoint, at save
+  DualSum ckpt_csum_;     ///< integrity sums of the checksum-row pre-image
+  Protocol proto_;
 };
 
 }  // namespace
@@ -915,27 +679,13 @@ void ft_gehrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> tau,
   FTH_CHECK(a.cols() == n, "ft_gehrd: matrix must be square");
   FTH_CHECK(tau.size() >= std::max<index_t>(n - 1, 0), "ft_gehrd: tau too short");
   FTH_CHECK(opt.nb >= 1, "ft_gehrd: block size must be positive");
-
-  FtReport local_rep;
-  hybrid::HybridGehrdStats local_st;
-  FtReport& rep = report != nullptr ? *report : local_rep;
-  hybrid::HybridGehrdStats& st = stats != nullptr ? *stats : local_st;
-  rep = {};
-  st = {};
-
-  obs::TraceSpan run_span("ft", "gehrd", "n", static_cast<double>(n));
-  WallTimer total;
-  const hybrid::detail::StatsScope scope(dev);
-
-  if (n > 2) {
-    FtDriver driver(dev, a, tau, opt, injector, rep, st);
-    driver.run();
-  } else {
-    for (index_t i = 0; i + 1 < n; ++i) tau[i] = 0.0;
-  }
-
-  st.total_seconds = total.seconds();
-  scope.finish(st);
+  run_entry(dev, "gehrd", n, report, stats, [&](FtReport& rep, hybrid::HybridGehrdStats& st) {
+    if (n > 2) {
+      FtDriver(dev, a, tau, opt, injector, rep, st).run();
+    } else {
+      for (index_t i = 0; i + 1 < n; ++i) tau[i] = 0.0;
+    }
+  });
 }
 
 }  // namespace fth::ft

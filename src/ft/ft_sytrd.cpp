@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <sstream>
 #include <vector>
@@ -11,73 +10,36 @@
 #include "common/timer.hpp"
 #include "fault/fault_plane.hpp"
 #include "ft/checksum.hpp"
+#include "ft/protocol.hpp"
 #include "ft/q_protect.hpp"
-#include "ft/recovery.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
 #include "la/norms.hpp"
-#include "obs/journal.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "lapack/orghr.hpp"
 #include "lapack/sytrd_impl.hpp"
 
 namespace fth::ft {
 
-index_t ft_sytrd_boundaries(index_t n, index_t nb) {
-  index_t count = 0;
-  index_t i = 0;
-  while (i < n - 1) {
-    i += std::min(nb, n - 1 - i);
-    ++count;
-  }
-  return count;
-}
-
 namespace {
 
 using hybrid::copy_d2h;
 using hybrid::copy_d2h_async;
-using hybrid::copy_h2d;
 using hybrid::copy_h2d_async;
 
-/// Thrown by the panel tripwire when a device-assisted SYMV column comes
-/// back non-finite: the reflector chain would smear NaN/Inf across the
-/// whole trailing matrix, so the panel is abandoned before any update.
-struct panel_poisoned_error {};
+double sytrd_threshold(MatrixView<const double> a, const FtSytrdOptions& opt) {
+  // Per-row tolerance: the gehrd default bounds a grand total over n rows;
+  // divide the n factor back out but keep a comfortable margin (which an
+  // explicit threshold gets too).
+  const double t = opt.threshold > 0
+                       ? opt.threshold
+                       : default_threshold(norm_fro(a), a.rows(), opt.threshold_factor) /
+                             static_cast<double>(std::max<index_t>(a.rows(), 1));
+  return t * 50.0;
+}
 
-/// RAII bracket telling the fault plane a recovery re-execution is active
-/// (DuringRecovery faults only count triggers inside the bracket).
-class RecoveryScope {
- public:
-  explicit RecoveryScope(fault::FaultPlane* p) : p_(p) {
-    if (p_ != nullptr) p_->set_in_recovery(true);
-  }
-  ~RecoveryScope() {
-    if (p_ != nullptr) p_->set_in_recovery(false);
-  }
-  RecoveryScope(const RecoveryScope&) = delete;
-  RecoveryScope& operator=(const RecoveryScope&) = delete;
-
- private:
-  fault::FaultPlane* p_;
-};
-
-/// Per-check detection result: the worst finite per-row gap plus a flag
-/// for non-finite discrepancies (a NaN gap must count as detected — the
-/// plain `gap > threshold` comparison is false for NaN and would wave the
-/// corruption straight through).
-struct SytrdDetect {
-  double worst = 0.0;
-  bool bad = false;
-  bool nonfinite = false;
-  [[nodiscard]] double gap() const {
-    return nonfinite ? std::numeric_limits<double>::quiet_NaN() : worst;
-  }
-};
-
-class FtSytrdDriver {
+class FtSytrdDriver final : public Code {
  public:
   FtSytrdDriver(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
                 VectorView<double> e, VectorView<double> tau, const FtSytrdOptions& opt,
@@ -89,9 +51,10 @@ class FtSytrdDriver {
         tau_(tau),
         opt_(opt),
         inj_(inj),
-        rep_(rep),
         st_(st),
         n_(a.rows()),
+        threshold_(sytrd_threshold(a, opt)),
+        plane_(opt.fault_plane),
         d_a_(dev, n_, n_, "sytrd.ft.d_a"),
         d_v_(dev, n_, std::max<index_t>(opt.nb, 1), "sytrd.ft.d_v"),
         d_w_(dev, n_, std::max<index_t>(opt.nb, 1), "sytrd.ft.d_w"),
@@ -105,75 +68,47 @@ class FtSytrdDriver {
         w_host_(n_, std::max<index_t>(opt.nb, 1)),
         v_host_(n_, std::max<index_t>(opt.nb, 1)),
         ckpt_(n_, std::max<index_t>(opt.nb, 1)),
-        ckpt_chke_(n_, 1),
-        ckpt_chkw_(n_, 1),
         seg_(std::max<index_t>(opt.nb, 1), 2),
-        qp_(n_) {
-    const double fro = norm_fro(MatrixView<const double>(a_));
-    scale_max_ = norm_max(MatrixView<const double>(a_));
-    threshold_ = opt.threshold > 0
-                     ? opt.threshold
-                     : default_threshold(fro, n_, opt.threshold_factor) /
-                           static_cast<double>(std::max<index_t>(n_, 1));
-    // ^ per-row tolerance: the gehrd default bounds a grand total over n
-    //   rows; divide the n factor back out but keep a comfortable margin.
-    threshold_ *= 50.0;
-    total_boundaries_ = ft_sytrd_boundaries(n_, opt.nb);
-    rep_.threshold = threshold_;
-    plane_ = opt.fault_plane;
-    if (plane_ != nullptr) plane_->bind(dev);
-  }
+        qp_(n_),
+        chk_(proto_, s_, d_chke_, d_chkw_),
+        proto_("ft_sytrd", dev, *this, rep, a, opt, threshold_) {}
 
-  ~FtSytrdDriver() {
-    if (plane_ != nullptr) {
-      // Drain the stream so no hook invocation is in flight when the hooks
-      // come down (the plane may be destroyed right after the driver).
-      try {
-        s_.synchronize();
-      } catch (...) {  // NOLINT(bugprone-empty-catch): unwinding already
-      }
-      plane_->unbind();
-    }
-  }
-
+  // The boundary loop. Faults strike at the boundary, i.e. before the
+  // end-of-iteration check — so a hit anywhere (including the next panel's
+  // interior) is detected and repaired before the next factorization step
+  // consumes it, exactly the "correct before it propagates" discipline of
+  // the paper.
   void run() {
-    encode();
+    proto_.encode();
     index_t i = 0;
     index_t boundary = 0;
     while (i < n_ - 1) {
       const index_t ib = std::min(opt_.nb, n_ - 1 - i);
       const bool completed = run_iteration(i, ib);
       ++boundary;
-      // Faults strike at the boundary, i.e. before the end-of-iteration
-      // check — so a hit anywhere (including the next panel's interior) is
-      // detected and repaired before the next factorization step consumes
-      // it, exactly the "correct before it propagates" discipline of the
-      // paper.
       if (inj_ != nullptr) inject_at_boundary(boundary, i + ib);
       const bool check_now = opt_.detect_every <= 1 ||
                              boundary % opt_.detect_every == 0 || i + ib >= n_ - 1;
       // A poisoned panel forces a check regardless of the amortization
       // knob: the next iteration would otherwise consume the damage.
-      if (check_now || !completed) ensure_clean(boundary, i, ib, completed);
+      if (check_now || !completed) proto_.ensure_clean(boundary, i, ib, completed);
       if (opt_.protect_q) qp_.commit(pending_q_);
       ++st_.panels;
       i += ib;
     }
-    final_phase();
-    // Clean means NOTHING fired: a run that survived only because a
-    // checkpoint was re-derived, a non-finite element reconstructed, or a
-    // poisoned panel abandoned was still a recovery.
-    rep_.outcome.status = (rep_.detections > 0 || rep_.final_sweep_corrections > 0 ||
-                           rep_.q_corrections > 0 || rep_.ckpt_rederivations > 0 ||
-                           rep_.reconstructions > 0 || rep_.panel_aborts > 0)
-                              ? RecoveryStatus::Recovered
-                              : RecoveryStatus::Clean;
+    // Fetch the last diagonal element (never part of a panel).
+    copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
+    proto_.final_sweep();
+    proto_.verify_q();
+    // Single source of truth: extract d and e from the (possibly repaired)
+    // host matrix.
+    for (index_t r = 0; r < n_; ++r) d_[r] = a_(r, r);
+    for (index_t r = 0; r + 1 < n_; ++r) e_[r] = a_(r + 1, r);
+    proto_.conclude();
   }
 
  private:
-  void encode() {
-    WallTimer t;
-    obs::TraceSpan span("ft", "encode", "n", static_cast<double>(n_));
+  void encode() override {
     copy_h2d_async(s_, MatrixView<const double>(a_), d_a_.view());
     hybrid::fill_async(s_, d_ones_.view(), 1.0);
     s_.enqueue("ft.iota", FTH_TASK_EFFECTS(FTH_WRITES(d_wvec_.view())),
@@ -186,19 +121,15 @@ class FtSytrdDriver {
                        d_chke_.view().col(0));
     hybrid::symv_async(s_, Uplo::Lower, 1.0, d_a_.view(), d_wvec_.view().col(0), 0.0,
                        d_chkw_.view().col(0));
-    // Intentional full barrier, once per run: mark_encoded() below opens
-    // the fault gate, and both codes must exist on the device before any
-    // strike is allowed. fth-perf: expect coarse-synchronize
+    // Intentional full barrier, once per run: the protocol opens the fault
+    // gate (mark_encoded()) next, and both codes must exist on the device
+    // before any strike is allowed. fth-perf: expect coarse-synchronize
     s_.synchronize();
-    rep_.encode_seconds += t.seconds();
-    // Faults are gated until the codes exist: an earlier strike would be
-    // encoded consistently and become a different (but protected) input.
-    if (plane_ != nullptr) plane_->mark_encoded();
   }
 
   // Returns false if the panel tripwire abandoned the iteration before any
   // update touched the trailing matrix (caller rolls back and redoes).
-  bool run_iteration(index_t i, index_t ib) {
+  bool run_iteration(index_t i, index_t ib) override {
     const index_t vrows = n_ - i - 1;
     const index_t tn = n_ - i - ib;
 
@@ -228,8 +159,8 @@ class FtSytrdDriver {
       // the checkpointed checksum-vector pre-images (d2h, checkpoint save).
       // The panel d2h lands in host a_, the reliable domain by the paper's
       // model — corrupting it would be a silently wrong result everywhere.
-      plane_->add_transfer_target(fault::Surface::Checkpoint, ckpt_chke_.view());
-      plane_->add_transfer_target(fault::Surface::Checkpoint, ckpt_chkw_.view());
+      plane_->add_transfer_target(fault::Surface::Checkpoint, chk_.ckpt(0));
+      plane_->add_transfer_target(fault::Surface::Checkpoint, chk_.ckpt(1));
     }
 
     // Panel to host + diskless checkpoints (panel pre-image and both
@@ -239,16 +170,14 @@ class FtSytrdDriver {
     {
       obs::TraceSpan ckpt_span("ft", "checkpoint_save", "col", static_cast<double>(i));
       copy_d2h_async(s_, d_a_.block(0, i, n_, ib), a_.block(0, i, n_, ib));
-      copy_d2h_async(s_, d_chke_.view(), ckpt_chke_.view());
-      copy_d2h(s_, d_chkw_.view(), ckpt_chkw_.view());
+      copy_d2h_async(s_, d_chke_.view(), chk_.ckpt(0));
+      copy_d2h(s_, d_chkw_.view(), chk_.ckpt(1));
       fth::copy(MatrixView<const double>(a_.block(0, i, n_, ib)), ckpt_.block(0, 0, n_, ib));
       // The d2h that filled the vector checkpoints is itself fault-eligible
       // and the dual-sum verify can only vouch for what was stored, not for
-      // the transfer. Cross-check bitwise against the device's maintained
-      // vectors via a raw task readback (not a copy_* transfer, hence not
-      // fault-eligible) and repair on mismatch.
-      verify_chk_checkpoint_save();
-      save_checkpoint_sums(ib);
+      // the transfer: cross-check it against the device's vectors.
+      chk_.cross_check();
+      ckpt_sum_ = panel_checkpoint_sums(ib);
       if (plane_ != nullptr)
         plane_->register_surface(fault::Surface::Checkpoint, ckpt_.block(0, 0, n_, ib));
     }
@@ -283,10 +212,7 @@ class FtSytrdDriver {
     st_.panel_seconds += panel_timer.seconds();
     if (poisoned) {
       s_.synchronize();
-      ++rep_.panel_aborts;
-      obs::counter_metric("ft.panel_aborts").add();
-      obs::instant("ft", "panel_abort");
-      obs::journal_log(obs::JournalSeverity::Warn, "ft", "panel_abort", -1, 0.0, i);
+      proto_.panel_aborted(i);
       return false;
     }
 
@@ -356,7 +282,7 @@ class FtSytrdDriver {
         WallTimer qt;
         obs::TraceSpan q_span("ft", "q_checksum");
         pending_q_ = qp_.compute_panel(MatrixView<const double>(a_), i, ib);
-        rep_.q_seconds += qt.seconds();
+        proto_.report().q_seconds += qt.seconds();
       }
       for (index_t j = 0; j < ib; ++j) {
         a_(i + j + 1, i + j) = e_[i + j];  // replace the panel's unit entries
@@ -427,120 +353,36 @@ class FtSytrdDriver {
     return fresh;
   }
 
-  std::vector<double> fetch_chk(bool weighted) {
-    std::vector<double> out(static_cast<std::size_t>(n_));
-    s_.enqueue("ft.chk_readback",
-                FTH_TASK_EFFECTS(FTH_READS(d_chke_.view(), d_chkw_.view())),
-                [this, &out, weighted] {
-      auto c = (weighted ? d_chkw_.view() : d_chke_.view()).col(0).in_task();
-      for (index_t r = 0; r < n_; ++r) out[static_cast<std::size_t>(r)] = c[r];
-    });
-    s_.synchronize();
-    return out;
-  }
-
-  SytrdDetect detect(index_t i2) {
-    SytrdDetect det;
-    const std::vector<double> fresh = fresh_sums(i2, /*weighted=*/false);
-    const std::vector<double> chke = fetch_chk(false);
+  Detection detect(index_t i, index_t ib) override {
+    const std::vector<double> fresh = fresh_sums(i + ib, /*weighted=*/false);
+    const std::vector<double> chke = chk_.fetch(false);
+    // The worst finite per-row gap plus a flag for non-finite discrepancies
+    // (a NaN gap must count as detected — the plain `gap > threshold`
+    // comparison is false for NaN and would wave the corruption through).
+    double worst = 0.0;
+    Detection det;
     for (index_t r = 0; r < n_; ++r) {
       const double gap = std::abs(fresh[static_cast<std::size_t>(r)] -
                                   chke[static_cast<std::size_t>(r)]);
       if (!std::isfinite(gap)) {
-        det.nonfinite = true;
-        det.bad = true;
+        det.nonfinite = 1;
+        det.dirty = true;
       } else {
-        det.worst = std::max(det.worst, gap);
-        if (gap > threshold_) det.bad = true;
+        worst = std::max(worst, gap);
+        if (gap > threshold_) det.dirty = true;
       }
     }
+    det.gap = det.nonfinite > 0 ? std::numeric_limits<double>::quiet_NaN() : worst;
     return det;
   }
 
-  void ensure_clean(index_t boundary, index_t i, index_t ib, bool completed) {
-    int attempts = 0;
-    for (;;) {
-      WallTimer dt;
-      SytrdDetect det;
-      if (completed) {
-        obs::TraceSpan det_span("ft", "detect");
-        det = detect(i + ib);
-      } else {
-        // The panel tripwire already proved the iteration unusable; there
-        // is nothing meaningful to measure, so synthesize the detection.
-        det.bad = true;
-        det.nonfinite = true;
-      }
-      rep_.detect_seconds += dt.seconds();
-      if (std::isfinite(det.gap())) {
-        obs::histogram_metric("ft.detect_gap").observe(det.worst);
-        obs::counter("ft.detect_gap", det.worst);
-      }
-      if (!det.bad) {
-        rep_.max_fault_free_gap = std::max(rep_.max_fault_free_gap, det.worst);
-        return;
-      }
-
-      ++rep_.detections;
-      obs::instant("ft", "detection");
-      obs::counter_metric("ft.detections").add();
-      obs::journal_log(obs::JournalSeverity::Warn, "ft", "detect", -1, det.gap(), boundary);
-      if (det.nonfinite) obs::counter_metric("ft.nonfinite_detections").add();
-      if (++attempts > opt_.max_retries) {
-        std::ostringstream os;
-        os << "per-row gap " << det.gap() << " > threshold " << threshold_
-           << " after exhausting retries";
-        abort_recovery(rep_.outcome, "ft_sytrd", AbortReason::RetriesExhausted, boundary,
-                       attempts - 1, det.gap(), threshold_, os.str());
-      }
-
-      WallTimer rt;
-      FtEvent ev;
-      ev.boundary = boundary;
-      ev.gap = det.gap();
-      ev.panel_poisoned = !completed;
-      {
-        obs::TraceSpan rb_span("ft", "rollback", "col", static_cast<double>(i));
-        rollback(i, ib, completed);
-      }
-      ++rep_.rollbacks;
-      obs::counter_metric("ft.rollbacks").add();
-      obs::journal_log(obs::JournalSeverity::Info, "ft", "rollback", -1,
-                       static_cast<double>(attempts), boundary);
-      try {
-        obs::TraceSpan loc_span("ft", "locate");
-        locate_and_correct(i, ev);
-      } catch (const recovery_error& e) {
-        // Location gave up: the pattern exceeds the two-code capability.
-        // Record the abandoned iteration, then abort with the cause.
-        const AbortReason why = det.nonfinite ? AbortReason::NonfiniteDamage
-                                              : AbortReason::AmbiguousPattern;
-        rep_.events.push_back(std::move(ev));
-        abort_recovery(rep_.outcome, "ft_sytrd", why, boundary, attempts, det.gap(),
-                       threshold_, e.what());
-      }
-      ev.checkpoint_only = ev.data_corrections == 0 && ev.checksum_corrections == 0 &&
-                           ev.reconstructions == 0;
-      rep_.data_corrections += ev.data_corrections;
-      rep_.checksum_corrections += ev.checksum_corrections;
-      obs::counter_metric("ft.data_corrections").add(static_cast<std::uint64_t>(ev.data_corrections));
-      obs::counter_metric("ft.checksum_corrections")
-          .add(static_cast<std::uint64_t>(ev.checksum_corrections));
-      if (ev.checkpoint_only) obs::counter_metric("ft.checkpoint_only_recoveries").add();
-      rep_.events.push_back(std::move(ev));
-      {
-        obs::TraceSpan redo_span("ft", "reexec", "col", static_cast<double>(i));
-        obs::counter_metric("ft.reexecutions").add();
-        obs::journal_log(obs::JournalSeverity::Info, "ft", "reexec", -1,
-                         static_cast<double>(attempts), boundary);
-        const RecoveryScope in_recovery(plane_);
-        completed = run_iteration(i, ib);
-      }
-      rep_.recovery_seconds += rt.seconds();
-    }
+  [[nodiscard]] std::string describe(const Detection& det) const override {
+    std::ostringstream os;
+    os << "per-row gap " << det.gap << " > threshold " << threshold_;
+    return os.str();
   }
 
-  void rollback(index_t i, index_t ib, bool completed) {
+  void rollback(index_t i, index_t ib, bool completed) override {
     const index_t tn = n_ - i - ib;
     if (completed) {
       // Reverse the trailing rank-2k exactly (deterministic kernel, same
@@ -554,123 +396,35 @@ class FtSytrdDriver {
     // Recovery cold path, not worth an Event edge. fth-perf: expect coarse-synchronize
     s_.synchronize();
     obs::TraceSpan restore_span("ft", "checkpoint_restore", "col", static_cast<double>(i));
-    verify_or_rederive_panel_checkpoint(i, ib);
+    if (!panel_checkpoint_sums(ib).same_bits(ckpt_sum_)) {
+      // The diskless panel checkpoint was struck after save. The device's
+      // panel columns are never written during the iteration (the panel is
+      // factored on the host, the rank-2k starts at column i+ib), so they
+      // still hold the exact pre-iteration image.
+      copy_d2h(s_, d_a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib));
+      ckpt_sum_ = panel_checkpoint_sums(ib);
+      proto_.rederived();
+    }
     fth::copy(MatrixView<const double>(ckpt_.block(0, 0, n_, ib)), a_.block(0, i, n_, ib));
     // The vector checkpoints are verified after the data rollback so that a
     // corrupt one can be re-derived from the restored state; only then are
     // they pushed back to the device.
-    verify_or_rederive_chk_checkpoints(i);
-    copy_h2d_async(s_, ckpt_chke_.cview(), d_chke_.view());
-    copy_h2d(s_, ckpt_chkw_.cview(), d_chkw_.view());
+    if (!chk_.intact()) {
+      const std::vector<double> fe = fresh_sums(i, /*weighted=*/false);
+      chk_.rederive(fe, fresh_sums(i, /*weighted=*/true));
+    }
+    chk_.restore();
   }
 
   // -- Checkpoint integrity (the checkpoint itself is a fault target). ------
-  // Dual sums (plain + position-weighted) compared bitwise at restore time:
-  // any corruption of the host buffers between save and restore — including
-  // NaN, which is unequal to itself — flips at least one sum. The panel and
-  // the checksum vectors carry separate sum pairs because their
-  // re-derivation sources differ.
-  static bool bits_equal(double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  }
-
-  void panel_checkpoint_sums(double& s1, double& s2, index_t ib) const {
-    s1 = 0.0;
-    s2 = 0.0;
-    for (index_t j = 0; j < ib; ++j) {
-      for (index_t r = 0; r < n_; ++r) {
-        const double v = ckpt_(r, j);
-        s1 += v;
-        s2 += v * static_cast<double>((r + 1) + (j + 1) * n_);
-      }
-    }
-  }
-
-  void chk_checkpoint_sums(double& s1, double& s2) const {
-    s1 = 0.0;
-    s2 = 0.0;
-    for (index_t r = 0; r < n_; ++r) {
-      s1 += ckpt_chke_(r, 0) + ckpt_chkw_(r, 0);
-      s2 += ckpt_chke_(r, 0) * static_cast<double>(r + 1) +
-            ckpt_chkw_(r, 0) * static_cast<double>(n_ + r + 1);
-    }
-  }
-
-  void save_checkpoint_sums(index_t ib) {
-    panel_checkpoint_sums(ckpt_sum1_, ckpt_sum2_, ib);
-    chk_checkpoint_sums(ckpt_csum1_, ckpt_csum2_);
-  }
-
-  /// Bitwise cross-check of the freshly saved vector checkpoints against
-  /// the device's maintained vectors (raw task readback, not a transfer —
-  /// so a transfer fault cannot strike both sides).
-  void verify_chk_checkpoint_save() {
-    Matrix<double> ref(n_, 2);
-    auto rv = ref.view();
-    auto ce = d_chke_.view();
-    auto cw = d_chkw_.view();
-    s_.enqueue("ft.ckpt_readback", FTH_TASK_EFFECTS(FTH_READS(ce, cw) FTH_WRITES(rv)),
-                [rv, ce, cw, n = n_]() mutable {
-      auto ceh = ce.in_task();
-      auto cwh = cw.in_task();
-      for (index_t r = 0; r < n; ++r) {
-        rv(r, 0) = ceh(r, 0);
-        rv(r, 1) = cwh(r, 0);
-      }
-    });
-    s_.synchronize();
-    for (index_t r = 0; r < n_; ++r) {
-      if (!bits_equal(ckpt_chke_(r, 0), ref(r, 0))) {
-        ckpt_chke_(r, 0) = ref(r, 0);
-        ++rep_.ckpt_rederivations;
-        obs::counter_metric("ft.ckpt_rederivations").add();
-        obs::instant("ft", "ckpt_rederive");
-      }
-      if (!bits_equal(ckpt_chkw_(r, 0), ref(r, 1))) {
-        ckpt_chkw_(r, 0) = ref(r, 1);
-        ++rep_.ckpt_rederivations;
-        obs::counter_metric("ft.ckpt_rederivations").add();
-        obs::instant("ft", "ckpt_rederive");
-      }
-    }
-  }
-
-  void verify_or_rederive_panel_checkpoint(index_t i, index_t ib) {
-    double s1 = 0.0;
-    double s2 = 0.0;
-    panel_checkpoint_sums(s1, s2, ib);
-    if (bits_equal(s1, ckpt_sum1_) && bits_equal(s2, ckpt_sum2_)) return;
-    // The diskless panel checkpoint was struck after save. The device's
-    // panel columns are never written during the iteration (the panel is
-    // factored on the host, the rank-2k starts at column i+ib), so they
-    // still hold the exact pre-iteration image.
-    copy_d2h(s_, d_a_.block(0, i, n_, ib), ckpt_.block(0, 0, n_, ib));
-    panel_checkpoint_sums(ckpt_sum1_, ckpt_sum2_, ib);
-    ++rep_.ckpt_rederivations;
-    obs::counter_metric("ft.ckpt_rederivations").add();
-    obs::instant("ft", "ckpt_rederive");
-  }
-
-  void verify_or_rederive_chk_checkpoints(index_t i) {
-    double s1 = 0.0;
-    double s2 = 0.0;
-    chk_checkpoint_sums(s1, s2);
-    if (bits_equal(s1, ckpt_csum1_) && bits_equal(s2, ckpt_csum2_)) return;
-    // Struck after save: re-derive both codes from the rolled-back data
-    // (the caller restored the trailing matrix and the panel first). An
-    // undetected fault older than the last check would be encoded
-    // consistently here — the residual double-fault window DESIGN.md §9
-    // documents.
-    const std::vector<double> fe = fresh_sums(i, /*weighted=*/false);
-    const std::vector<double> fw = fresh_sums(i, /*weighted=*/true);
-    for (index_t r = 0; r < n_; ++r) {
-      ckpt_chke_(r, 0) = fe[static_cast<std::size_t>(r)];
-      ckpt_chkw_(r, 0) = fw[static_cast<std::size_t>(r)];
-    }
-    chk_checkpoint_sums(ckpt_csum1_, ckpt_csum2_);
-    ++rep_.ckpt_rederivations;
-    obs::counter_metric("ft.ckpt_rederivations").add();
-    obs::instant("ft", "ckpt_rederive");
+  // The panel and the checksum vectors carry separate sum pairs because
+  // their re-derivation sources differ.
+  [[nodiscard]] DualSum panel_checkpoint_sums(index_t ib) const {
+    DualSum s;
+    for (index_t j = 0; j < ib; ++j)
+      for (index_t r = 0; r < n_; ++r)
+        s.add(ckpt_(r, j), static_cast<double>((r + 1) + (j + 1) * n_));
+    return s;
   }
 
   // -- Non-finite recovery: element reconstruction from the plain code. -----
@@ -685,16 +439,9 @@ class FtSytrdDriver {
     }
     const index_t p = nf_rows.back();
     const index_t q = nf_rows.front();  // p == q → diagonal element
-    if (q >= i) {
-      auto da = d_a_.view();
-      s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(da)),
-                  [da, p, q] { da.in_task()(p, q) = 0.0; });
-      s_.synchronize();
-    } else {
-      a_(p, q) = 0.0;
-    }
+    store(p, q, 0.0, i);
     const std::vector<double> base = fresh_sums(i, /*weighted=*/false);
-    const std::vector<double> chke = fetch_chk(false);
+    const std::vector<double> chke = chk_.fetch(false);
     const double code = chke[static_cast<std::size_t>(p)];
     const double rest = base[static_cast<std::size_t>(p)];
     if (!std::isfinite(code) || !std::isfinite(rest)) {
@@ -702,7 +449,15 @@ class FtSytrdDriver {
           "ft_sytrd: non-finite damage: the code needed for element "
           "reconstruction is itself lost");
     }
-    const double v = code - rest;
+    store(p, q, code - rest, i);
+    ev.errors.push_back({p, q, 0.0});
+    ++ev.reconstructions;
+    proto_.reconstructed();
+  }
+
+  /// Stored element (p,q) := v, on the device for the trailing region and
+  /// on the host for the finished one.
+  void store(index_t p, index_t q, double v, index_t i) {
     if (q >= i) {
       auto da = d_a_.view();
       s_.enqueue("ft.reconstruct", FTH_TASK_EFFECTS(FTH_WRITES(da)),
@@ -711,16 +466,19 @@ class FtSytrdDriver {
     } else {
       a_(p, q) = v;
     }
-    ev.errors.push_back({p, q, 0.0});
-    ++ev.reconstructions;
-    ++rep_.reconstructions;
-    obs::counter_metric("ft.reconstructions").add();
-    obs::instant("ft", "reconstruction");
   }
 
-  void locate_and_correct(index_t i, FtEvent& ev) {
-    std::vector<double> fresh_e = fresh_sums(i, false);
-    std::vector<double> chke = fetch_chk(false);
+  void locate(index_t i) override {
+    loc_fresh_ = fresh_sums(i, false);
+    loc_chk_ = chk_.fetch(false);
+  }
+
+  // Location needs no row/column pairing: for a flagged row p the
+  // weighted/plain delta ratio yields the column directly. One pass
+  // suffices (the non-finite pre-pass re-derives its own fresh sums).
+  bool correct(index_t i, FtEvent& ev) override {
+    std::vector<double>& fresh_e = loc_fresh_;
+    std::vector<double>& chke = loc_chk_;
 
     // Non-finite pre-pass. Data damage shows as non-finite fresh sums and
     // is reconstructed element-wise from the plain code; non-finite
@@ -738,7 +496,7 @@ class FtSytrdDriver {
       auto ce = d_chke_.view();
       auto cw = d_chkw_.view();
       std::vector<double> fresh_w_nf;  // computed lazily, only if chkw is damaged
-      const std::vector<double> chkw_now = fetch_chk(true);
+      const std::vector<double> chkw_now = chk_.fetch(true);
       bool synced = false;
       for (index_t r = 0; r < n_; ++r) {
         const double fe = fresh_e[static_cast<std::size_t>(r)];
@@ -761,12 +519,12 @@ class FtSytrdDriver {
       }
       if (synced) {
         s_.synchronize();
-        chke = fetch_chk(false);
+        chke = chk_.fetch(false);
       }
     }
 
     const std::vector<double> fresh_w = fresh_sums(i, true);
-    const std::vector<double> chkw = fetch_chk(true);
+    const std::vector<double> chkw = chk_.fetch(true);
 
     struct Flag {
       index_t row;
@@ -847,10 +605,12 @@ class FtSytrdDriver {
         }
       }
     }
+    return false;
   }
 
   void inject_at_boundary(index_t boundary, index_t i_next) {
-    const auto due = inj_->due(boundary, total_boundaries_, i_next, n_, scale_max_);
+    const auto due =
+        inj_->due(boundary, proto_.total_boundaries(), i_next, n_, proto_.scale_max());
     bool device_faults = false;
     for (auto f : due) {
       // Symmetric lower storage: fold the coordinates into the triangle.
@@ -873,69 +633,32 @@ class FtSytrdDriver {
     if (device_faults) s_.synchronize();
   }
 
-  void final_phase() {
-    // Fetch the last diagonal element (never part of a panel).
+  // i = n−1: everything finished except the 1×1 trailing block. Sweep both
+  // codes so a strike on the weighted vector (invisible to the plain-code
+  // online check) is still found and repaired here.
+  void final_sweep(FtEvent& ev) override {
+    const std::vector<double> fresh_e = fresh_sums(n_ - 1, false);
+    const std::vector<double> fresh_w = fresh_sums(n_ - 1, true);
+    const std::vector<double> chke = chk_.fetch(false);
+    const std::vector<double> chkw = chk_.fetch(true);
+    bool bad = false;
+    for (index_t r = 0; r < n_ && !bad; ++r) {
+      const double ge = std::abs(fresh_e[static_cast<std::size_t>(r)] -
+                                 chke[static_cast<std::size_t>(r)]);
+      const double gw = std::abs(fresh_w[static_cast<std::size_t>(r)] -
+                                 chkw[static_cast<std::size_t>(r)]);
+      // NaN-safe: a non-finite gap must trigger the sweep.
+      bad = !(ge <= threshold_) || !(gw <= threshold_ * static_cast<double>(n_));
+    }
+    if (!bad) return;
+    loc_fresh_ = fresh_sums(n_ - 1, false);  // what locate() takes
+    loc_chk_ = chk_.fetch(false);
+    correct(n_ - 1, ev);
+    // Refresh the host copy of the last element if it was the target.
     copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
-
-    if (opt_.final_sweep) {
-      rep_.final_sweep_ran = true;
-      WallTimer t;
-      obs::TraceSpan sweep_span("ft", "final_sweep");
-      FtEvent ev;
-      // i = n−1: everything finished except the 1×1 trailing block. Sweep
-      // both codes so a strike on the weighted vector (invisible to the
-      // plain-code online check) is still found and repaired here.
-      const std::vector<double> fresh_e = fresh_sums(n_ - 1, false);
-      const std::vector<double> fresh_w = fresh_sums(n_ - 1, true);
-      const std::vector<double> chke = fetch_chk(false);
-      const std::vector<double> chkw = fetch_chk(true);
-      bool bad = false;
-      for (index_t r = 0; r < n_ && !bad; ++r) {
-        const double ge = std::abs(fresh_e[static_cast<std::size_t>(r)] -
-                                   chke[static_cast<std::size_t>(r)]);
-        const double gw = std::abs(fresh_w[static_cast<std::size_t>(r)] -
-                                   chkw[static_cast<std::size_t>(r)]);
-        // NaN-safe: a non-finite gap must trigger the sweep.
-        bad = !(ge <= threshold_) || !(gw <= threshold_ * static_cast<double>(n_));
-      }
-      if (bad) {
-        try {
-          locate_and_correct(n_ - 1, ev);
-        } catch (const recovery_error& e) {
-          abort_recovery(rep_.outcome, "ft_sytrd", AbortReason::AmbiguousPattern,
-                         total_boundaries_, 0, 0.0, threshold_,
-                         std::string("final sweep: ") + e.what());
-        }
-        rep_.final_sweep_corrections =
-            ev.data_corrections + ev.checksum_corrections + ev.reconstructions;
-        rep_.data_corrections += ev.data_corrections;
-        rep_.checksum_corrections += ev.checksum_corrections;
-        obs::counter_metric("ft.data_corrections")
-            .add(static_cast<std::uint64_t>(ev.data_corrections));
-        obs::counter_metric("ft.checksum_corrections")
-            .add(static_cast<std::uint64_t>(ev.checksum_corrections));
-        // Refresh the host copy of the last element if it was the target.
-        copy_d2h(s_, d_a_.block(n_ - 1, n_ - 1, 1, 1), a_.block(n_ - 1, n_ - 1, 1, 1));
-      }
-      rep_.detect_seconds += t.seconds();
-    }
-
-    if (opt_.protect_q) {
-      WallTimer qt;
-      obs::TraceSpan q_span("ft", "q_verify");
-      const double q_tol =
-          1e3 * eps<double>() * static_cast<double>(n_) * std::max(1.0, scale_max_);
-      const auto qres = qp_.verify_and_correct(a_, n_ - 1, q_tol);
-      rep_.q_corrections += qres.corrections;
-      obs::counter_metric("ft.q_corrections").add(static_cast<std::uint64_t>(qres.corrections));
-      rep_.q_seconds += qt.seconds();
-    }
-
-    // Single source of truth: extract d and e from the (possibly repaired)
-    // host matrix.
-    for (index_t r = 0; r < n_; ++r) d_[r] = a_(r, r);
-    for (index_t r = 0; r + 1 < n_; ++r) e_[r] = a_(r + 1, r);
   }
+
+  int verify_q(double tol) override { return qp_.verify_and_correct(a_, n_ - 1, tol).corrections; }
 
   hybrid::Stream& s_;
   MatrixView<double> a_;
@@ -944,18 +667,11 @@ class FtSytrdDriver {
   VectorView<double> tau_;
   const FtSytrdOptions& opt_;
   fault::Injector* inj_;
-  FtReport& rep_;
   hybrid::HybridGehrdStats& st_;
 
   index_t n_;
-  double threshold_ = 0.0;
-  double scale_max_ = 0.0;
-  index_t total_boundaries_ = 0;
-  fault::FaultPlane* plane_ = nullptr;
-  double ckpt_sum1_ = 0.0;
-  double ckpt_sum2_ = 0.0;
-  double ckpt_csum1_ = 0.0;
-  double ckpt_csum2_ = 0.0;
+  double threshold_;
+  fault::FaultPlane* plane_;  ///< optional in-flight fault plane (not owned)
 
   hybrid::DeviceMatrix<double> d_a_;
   hybrid::DeviceMatrix<double> d_v_;
@@ -971,14 +687,17 @@ class FtSytrdDriver {
   Matrix<double> w_host_;
   Matrix<double> v_host_;
   Matrix<double> ckpt_;
-  Matrix<double> ckpt_chke_;
-  Matrix<double> ckpt_chkw_;
   // Re-encode staging segment, hoisted out of the update loop: the async
   // h2d that reads it stays in flight past the loop bottom and is retired
   // by detect()'s synchronous fetch before the next refill.
   Matrix<double> seg_;
   QProtector qp_;
   QProtector::PanelChecksums pending_q_;
+  std::vector<double> loc_fresh_;  ///< locate(): fresh plain row sums
+  std::vector<double> loc_chk_;    ///< locate(): maintained chk_e
+  DualSum ckpt_sum_;               ///< integrity sums of the panel checkpoint, at save
+  ChecksumPair chk_;               ///< chk_e / chk_w and their checkpoint
+  Protocol proto_;
 };
 
 }  // namespace
@@ -994,31 +713,17 @@ void ft_sytrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
                 tau.size() >= std::max<index_t>(n - 1, 0),
             "ft_sytrd: e/tau too short");
   FTH_CHECK(opt.nb >= 1 && opt.detect_every >= 1, "ft_sytrd: bad options");
-
-  FtReport local_rep;
-  hybrid::HybridGehrdStats local_st;
-  FtReport& rep = report != nullptr ? *report : local_rep;
-  hybrid::HybridGehrdStats& st = stats != nullptr ? *stats : local_st;
-  rep = {};
-  st = {};
-
-  obs::TraceSpan run_span("ft", "sytrd", "n", static_cast<double>(n));
-  WallTimer total;
-  const hybrid::detail::StatsScope scope(dev);
-
-  if (n > 2) {
-    FtSytrdDriver driver(dev, a, d, e, tau, opt, injector, rep, st);
-    driver.run();
-  } else {
-    for (index_t r = 0; r < n; ++r) d[r] = a(r, r);
-    for (index_t r = 0; r + 1 < n; ++r) {
-      e[r] = a(r + 1, r);
-      tau[r] = 0.0;
+  run_entry(dev, "sytrd", n, report, stats, [&](FtReport& rep, hybrid::HybridGehrdStats& st) {
+    if (n > 2) {
+      FtSytrdDriver(dev, a, d, e, tau, opt, injector, rep, st).run();
+    } else {
+      for (index_t r = 0; r < n; ++r) d[r] = a(r, r);
+      for (index_t r = 0; r + 1 < n; ++r) {
+        e[r] = a(r + 1, r);
+        tau[r] = 0.0;
+      }
     }
-  }
-
-  st.total_seconds = total.seconds();
-  scope.finish(st);
+  });
 }
 
 }  // namespace fth::ft

@@ -30,11 +30,12 @@
 
 namespace fth::ft {
 
+/// Options of ft_sytrd and ft_gebrd (FtGebrdOptions).
 struct FtSytrdOptions {
   index_t nb = 32;
   double threshold = 0.0;        ///< per-row detection tolerance; 0 → scaled default
   double threshold_factor = 500.0;
-  bool protect_q = true;
+  bool protect_q = true;  ///< protect the Householder storage (gebrd: both families)
   bool final_sweep = true;
   int max_retries = 3;
   /// Run the (SYMV-priced) detection every k iterations. k > 1 lowers the
@@ -53,7 +54,8 @@ void ft_sytrd(hybrid::Device& dev, MatrixView<double> a, VectorView<double> d,
               fault::Injector* injector = nullptr, FtReport* report = nullptr,
               hybrid::HybridGehrdStats* stats = nullptr);
 
-/// Number of panel iterations ft_sytrd executes for size n, block nb.
-index_t ft_sytrd_boundaries(index_t n, index_t nb);
+/// Number of panel iterations ft_sytrd executes for size n, block nb (the
+/// same blocking as ft_gehrd).
+inline constexpr auto& ft_sytrd_boundaries = ft_total_boundaries;
 
 }  // namespace fth::ft

@@ -5,6 +5,7 @@
 #include <new>
 
 #include "fault/injector.hpp"
+#include "ft/ft_gebrd.hpp"
 #include "ft/ft_gehrd.hpp"
 #include "ft/ft_sytrd.hpp"
 #include "la/generate.hpp"
@@ -60,6 +61,9 @@ TEST(Robustness, InvalidOptionsRejected) {
   FtSytrdOptions bad;
   bad.detect_every = 0;
   EXPECT_THROW(ft_sytrd(dev, a.view(), vec(d), vec(e), vec(tau), bad), precondition_error);
+  std::vector<double> tauq(8);
+  EXPECT_THROW(ft_gebrd(dev, a.view(), vec(d), vec(e), vec(tauq), vec(tau), bad),
+               precondition_error);
 }
 
 TEST(Robustness, DeviceMemoryLimitSurfacesAsBadAlloc) {
