@@ -4,7 +4,6 @@
 #include <new>
 #include <thread>
 
-#include "obs/dag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -116,7 +115,6 @@ void copy_h2d_async(Stream& s, MatrixView<const double> host, DMatrixView<double
         copy_view(host, dev_h);
         if (d != nullptr) d->call_transfer_hook(TransferDir::H2D, dev_h);
       });
-  obs::dag::detail::on_transfer(s.obs_id(), ticket, static_cast<double>(bytes));
   // Transfer-routine context: taking the host view's base pointer for
   // registration must not itself count as a racing host access.
   check::TaskScope setup(&s, "h2d", ticket);
@@ -138,7 +136,6 @@ void copy_d2h_async(Stream& s, DMatrixView<const double> dev, MatrixView<double>
         copy_view(dev.in_task(), host);
         if (d != nullptr) d->call_transfer_hook(TransferDir::D2H, host);
       });
-  obs::dag::detail::on_transfer(s.obs_id(), ticket, static_cast<double>(bytes));
   check::TaskScope setup(&s, "d2h", ticket);
   check::on_transfer_enqueued(&s, ticket, /*host_is_dst=*/true, "d2h", host.data(),
                               sizeof(double), host.rows(), host.cols(), host.ld(),

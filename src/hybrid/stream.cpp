@@ -6,8 +6,6 @@
 #include "check/access.hpp"
 #include "hybrid/device.hpp"
 #include "common/error.hpp"
-#include "obs/dag.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 
 namespace fth::hybrid {
@@ -45,39 +43,24 @@ bool Event::ready() const {
 
 void Event::wait(std::source_location loc) const {
   if (!state_) return;
-  // Per-site span name ("event_wait@file:line") when any sink is live: the
-  // profiler splits its wait phases by site, and the DAG recorder needs the
-  // site for blocking-edge attribution.
-  const char* site = obs::trace_enabled()
-                         ? obs::site_label("event_wait", loc.file_name(),
-                                           static_cast<unsigned>(loc.line()))
-                         : nullptr;
-  obs::dag::detail::on_wait_begin("event_wait", site != nullptr ? site : "",
-                                  state_->stream_obs_id, state_->ticket);
   {
-    obs::TraceSpan span("stream", site != nullptr ? site : "event_wait");
+    // Named after its call site ("event_wait@file:line"): the profiler
+    // splits its wait phases by site, and the DAG attributes blocking to it.
+    obs::WaitSpan span("event_wait", loc, state_->stream_obs_id, state_->ticket);
     std::unique_lock lock(state_->m);
     state_->cv.wait(lock, [&] { return state_->done; });
   }
-  obs::dag::detail::on_wait_end();
   note_event_observed(state_->stream, state_->ticket);
 }
 
 bool Event::wait_for(std::chrono::nanoseconds timeout, std::source_location loc) const {
   if (!state_) return true;
-  const char* site = obs::trace_enabled()
-                         ? obs::site_label("event_wait", loc.file_name(),
-                                           static_cast<unsigned>(loc.line()))
-                         : nullptr;
-  obs::dag::detail::on_wait_begin("event_wait", site != nullptr ? site : "",
-                                  state_->stream_obs_id, state_->ticket);
   bool done = false;
   {
-    obs::TraceSpan span("stream", site != nullptr ? site : "event_wait");
+    obs::WaitSpan span("event_wait", loc, state_->stream_obs_id, state_->ticket);
     std::unique_lock lock(state_->m);
     done = state_->cv.wait_for(lock, timeout, [&] { return state_->done; });
   }
-  obs::dag::detail::on_wait_end();
   // A timed-out wait observed nothing: no happens-before edge, transfers
   // covered by this event stay in flight (the race detector stays sound
   // when the caller takes the loss-detection branch).
@@ -133,32 +116,23 @@ std::uint64_t Stream::enqueue_task(Task&& t) {
     queue_.push_back(std::move(t));
     const std::uint64_t depth = queue_.size() + (busy_ ? 1 : 0);
     if (depth > peak_depth_) peak_depth_ = depth;
-    obs::counter("stream.queue_depth", static_cast<double>(depth));
+    obs::detail::enqueue(obs_id_, ticket, label, static_cast<double>(depth));
   }
-  obs::dag::detail::on_enqueue(obs_id_, ticket, label);
   cv_worker_.notify_one();
   return ticket;
 }
 
 void Stream::synchronize(std::source_location loc) {
-  const char* site = obs::trace_enabled()
-                         ? obs::site_label("synchronize", loc.file_name(),
-                                           static_cast<unsigned>(loc.line()))
-                         : nullptr;
   std::uint64_t tail = 0;
   {
     std::unique_lock lock(m_);
     // The wait's cause is the newest ticket at entry (same value on exit:
     // the hybrid drivers are single-host-threaded). Recorded even when the
-    // queue is already drained — a zero-duration Wait node keeps the DAG's
-    // node counts deterministic.
+    // queue is already drained — a zero-duration wait keeps the DAG's node
+    // counts (and the profile's call counts) deterministic.
     tail = next_ticket_ - 1;
-    obs::dag::detail::on_wait_begin("synchronize", site != nullptr ? site : "", obs_id_, tail);
-    if (!queue_.empty() || busy_) {
-      obs::TraceSpan span("stream", site != nullptr ? site : "synchronize");
-      cv_idle_.wait(lock, [&] { return queue_.empty() && !busy_; });
-    }
-    obs::dag::detail::on_wait_end();
+    obs::WaitSpan span("synchronize", loc, obs_id_, tail);
+    cv_idle_.wait(lock, [&] { return queue_.empty() && !busy_; });
   }
   check::on_host_ordered(this, tail);
   std::lock_guard lock(m_);
@@ -243,7 +217,7 @@ bool Stream::killed() const {
 void Stream::worker_loop() {
   obs::set_thread_name("device-stream");
   const int dev_ordinal = device_ != nullptr ? device_->ordinal() : -1;
-  obs::profile_detail::set_device_ordinal(dev_ordinal);
+  obs::detail::set_device_ordinal(dev_ordinal);
   // While this stream has work it holds the device's kernel team, whose
   // helpers then keep spinning for the next fork rather than parking soon
   // (the idle policy in hybrid/team.hpp).
@@ -274,12 +248,10 @@ void Stream::worker_loop() {
     }
     // A killed stream discards work instead of running it, but still
     // completes event_record markers so host waits observe doom instead of
-    // hanging (see kill()).
+    // hanging (see kill()). A discarded task is still recorded.
     const bool run_task = !dead || std::strcmp(task.label, "event_record") == 0;
-    obs::dag::detail::on_task_begin(obs_id_, task.ticket, task.label);
-    if (run_task) {
+    if (obs::TaskSpan span(task.label, obs_id_, task.ticket); run_task) {
       try {
-        obs::TraceSpan span("stream", task.label);
 #if FTH_CHECK_ENABLED
         check::TaskScope scope(this, task.label, task.ticket,
                                task.has_effects ? &task.effects : nullptr,
@@ -295,7 +267,6 @@ void Stream::worker_loop() {
         if (!pending_error_) pending_error_ = std::current_exception();
       }
     }
-    obs::dag::detail::on_task_end(obs_id_, task.ticket);
     std::function<void(std::uint64_t)> hook;
     std::uint64_t task_index;
     {

@@ -3,162 +3,37 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "common/json.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace fth::obs::dag {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Recording: per-thread event buffers behind uncontended mutexes — the same
-// shape as the trace recorder's ThreadBuffers. Every hook bails on one
-// relaxed atomic load while the recorder is idle, which is the whole
-// zero-overhead-when-off story fth_checkinfo asserts for Release benches.
+using obs::detail::Rec;
+using obs::detail::TraceEvent;
 
-enum class Ev : std::uint8_t {
-  Enqueue,
-  TaskBegin,
-  TaskEnd,
-  Transfer,
-  WaitBegin,
-  WaitEnd,
-  SpanBegin,
-  SpanEnd,
-  Mark,
-};
+/// Each thread's buffered DAG events, tagged with its trace tid.
+using Buffers = std::vector<std::pair<std::uint32_t, std::vector<TraceEvent>>>;
 
-struct DagEvent {
-  double ts = 0.0;
-  double value = 0.0;        // transfer payload bytes
-  std::uint64_t stream = 0;
-  std::uint64_t ticket = 0;
-  const char* a = "";        // task label / span cat / wait kind / mark label
-  const char* b = "";        // span name / wait call site
-  Ev kind = Ev::Mark;
-  bool in_task = false;      // wait executed on a stream worker (dev.wait_event)
-};
-
-struct DagBuffer {
-  std::mutex m;
-  std::vector<DagEvent> events;
-  std::uint32_t tid = 0;     // trace-recorder tid, shared with trace files
-  bool is_worker = false;    // saw a TaskBegin (stream worker thread)
-};
-
-std::atomic<bool> g_on{false};
-thread_local bool t_in_task = false;
-thread_local int t_skipped_spans = 0;  // open stream-category spans (see on_span)
-
-class DagRecorder {
- public:
-  static DagRecorder& instance() {
-    static DagRecorder r;
-    return r;
-  }
-
-  void start() {
-    std::lock_guard lock(registry_m_);
-    for (auto& b : buffers_) {
-      std::lock_guard bl(b->m);
-      b->events.clear();
-      b->is_worker = false;
-    }
-    g_on.store(true, std::memory_order_relaxed);
-  }
-
-  /// Non-destructive copy of every thread's buffered events (tid-tagged);
-  /// the recorder stays armed. Feeds dag::tail_json for incident capsules.
-  [[nodiscard]] std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>> snapshot_events() {
-    std::lock_guard lock(registry_m_);
-    std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>> out;
-    out.reserve(buffers_.size());
-    for (auto& b : buffers_) {
-      std::lock_guard bl(b->m);
-      if (b->events.empty()) continue;
-      out.emplace_back(b->tid, b->events);
-    }
-    return out;
-  }
-
-  /// Disarm and move out every thread's events (tid-tagged).
-  std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>> drain() {
-    g_on.store(false, std::memory_order_relaxed);
-    std::lock_guard lock(registry_m_);
-    std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>> out;
-    out.reserve(buffers_.size());
-    for (auto& b : buffers_) {
-      std::lock_guard bl(b->m);
-      if (b->events.empty()) continue;
-      out.emplace_back(b->tid, std::move(b->events));
-      b->events.clear();
-    }
-    return out;
-  }
-
-  void record(const DagEvent& ev) noexcept {
-    DagBuffer& b = local_buffer();
-    std::lock_guard lock(b.m);
-    if (ev.kind == Ev::TaskBegin) b.is_worker = true;
-    b.events.push_back(ev);
-  }
-
- private:
-  DagRecorder() = default;
-
-  DagBuffer& local_buffer() {
-    thread_local std::shared_ptr<DagBuffer> buf = [this] {
-      auto b = std::make_shared<DagBuffer>();
-      b->tid = obs::detail::current_tid();
-      std::lock_guard lock(registry_m_);
-      buffers_.push_back(b);
-      return b;
-    }();
-    return *buf;
-  }
-
-  std::mutex registry_m_;
-  std::vector<std::shared_ptr<DagBuffer>> buffers_;
-};
-
-// ---------------------------------------------------------------------------
-// JSON helpers (same idiom as obs/profile.cpp).
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      out += hex;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_num(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+/// Copy (tail_json) or move out and disarm (stop) every thread's events.
+Buffers collect(bool drain) {
+  if (drain) obs::detail::set_sink(obs::detail::kDag, false);
+  Buffers out;
+  obs::detail::for_each_buffer([&](obs::detail::ThreadBuffer& b) {
+    if (b.dag.empty()) return;
+    if (drain) out.emplace_back(b.tid, std::exchange(b.dag, {}));
+    else out.emplace_back(b.tid, b.dag);
+  });
+  return out;
 }
 
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) {
@@ -170,40 +45,6 @@ void append_num(std::string& out, double v) {
 /// scenarios may leave in flight.
 [[nodiscard]] bool is_dev_compute(std::string_view label) {
   return starts_with(label, "dev.") && label != "dev.wait_event";
-}
-
-struct Interval {
-  double b, e;
-};
-
-double merge_union(std::vector<Interval>& v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end(), [](const Interval& a, const Interval& b) { return a.b < b.b; });
-  std::size_t out = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i].b <= v[out].e) {
-      v[out].e = std::max(v[out].e, v[i].e);
-    } else {
-      v[++out] = v[i];
-    }
-  }
-  v.resize(out + 1);
-  double len = 0.0;
-  for (const Interval& iv : v) len += iv.e - iv.b;
-  return len;
-}
-
-double intersect_len(const std::vector<Interval>& a, const std::vector<Interval>& b) {
-  double len = 0.0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].b, b[j].b);
-    const double hi = std::min(a[i].e, b[j].e);
-    if (hi > lo) len += hi - lo;
-    if (a[i].e < b[j].e) ++i;
-    else ++j;
-  }
-  return len;
 }
 
 // ---------------------------------------------------------------------------
@@ -220,89 +61,77 @@ struct Assembler {
     return it == task_of.end() ? -1 : it->second;
   }
 
-  void run(std::vector<std::pair<std::uint32_t, std::vector<DagEvent>>>& bufs) {
+  void run(const Buffers& bufs) {
     if (bufs.empty()) return;
 
     bool any_ts = false;
     for (const auto& [tid, evs] : bufs) {
-      for (const DagEvent& ev : evs) {
+      for (const TraceEvent& ev : evs) {
         if (!any_ts) {
-          g.t0_us = g.t1_us = ev.ts;
+          g.t0_us = g.t1_us = ev.ts_us;
           any_ts = true;
         } else {
-          g.t0_us = std::min(g.t0_us, ev.ts);
-          g.t1_us = std::max(g.t1_us, ev.ts);
+          g.t0_us = std::min(g.t0_us, ev.ts_us);
+          g.t1_us = std::max(g.t1_us, ev.ts_us);
         }
       }
     }
 
     // 1. Task nodes, created in (stream, ticket) order so node indices do
     //    not depend on which thread registered its buffer first.
-    struct EnqRef {
-      std::uint64_t stream, ticket;
-      const char* label;
-      double ts;
-    };
-    std::vector<EnqRef> enqs;
+    std::vector<const TraceEvent*> enqs;
     for (const auto& [tid, evs] : bufs)
-      for (const DagEvent& ev : evs)
-        if (ev.kind == Ev::Enqueue)
-          enqs.push_back(EnqRef{ev.stream, ev.ticket, ev.a, ev.ts});
-    std::sort(enqs.begin(), enqs.end(), [](const EnqRef& a, const EnqRef& b) {
-      return std::tie(a.stream, a.ticket) < std::tie(b.stream, b.ticket);
+      for (const TraceEvent& ev : evs)
+        if (ev.kind == Rec::Enqueue) enqs.push_back(&ev);
+    std::sort(enqs.begin(), enqs.end(), [](const TraceEvent* a, const TraceEvent* b) {
+      return std::tie(a->stream, a->ticket) < std::tie(b->stream, b->ticket);
     });
-    for (const EnqRef& e : enqs) {
+    for (const TraceEvent* e : enqs) {
       Node nd;
       nd.kind = NodeKind::Task;
-      nd.label = e.label;
-      nd.stream = e.stream;
-      nd.ticket = e.ticket;
-      nd.enq_us = e.ts;
-      nd.t0_us = nd.t1_us = e.ts;  // refined by TaskBegin/TaskEnd below
-      task_of.emplace(TaskKey{e.stream, e.ticket}, static_cast<std::int64_t>(g.nodes.size()));
+      nd.label = e->arg_key;
+      nd.stream = e->stream;
+      nd.ticket = e->ticket;
+      nd.enq_us = e->ts_us;
+      nd.t0_us = nd.t1_us = e->ts_us;  // refined by the task's begin/end below
+      task_of.emplace(TaskKey{e->stream, e->ticket}, static_cast<std::int64_t>(g.nodes.size()));
       g.nodes.push_back(std::move(nd));
     }
 
-    // 2. Worker threads: task execution intervals, transfer payloads, and
-    //    cross-stream waits executed inside dev.wait_event tasks.
-    for (const auto& [tid, evs] : bufs) {
-      std::int64_t cur = -1;
-      double pending_wait_ts = -1.0;
-      std::int64_t pending_cause = -1;
-      for (const DagEvent& ev : evs) {
-        switch (ev.kind) {
-          case Ev::TaskBegin:
+    // 2. Worker threads (those that ran a task): task execution intervals,
+    //    transfer payloads (the "bytes" argument of the transfer span inside
+    //    the task), and cross-stream waits inside dev.wait_event tasks —
+    //    a wait is in-task iff a task is open on its thread's span stack.
+    std::vector<bool> worker(bufs.size(), false);
+    for (std::size_t t = 0; t < bufs.size(); ++t) {
+      const auto& [tid, evs] = bufs[t];
+      std::vector<Rec> open;
+      std::int64_t cur = -1, cause = -1;
+      for (const TraceEvent& ev : evs) {
+        if (ev.ph == 'B') {
+          open.push_back(ev.kind);
+          if (ev.kind == Rec::Task) {
+            worker[t] = true;
             cur = lookup(ev.stream, ev.ticket);
             if (cur >= 0) {
-              g.nodes[cur].t0_us = ev.ts;
+              g.nodes[cur].t0_us = ev.ts_us;
               g.nodes[cur].tid = tid;
             }
-            break;
-          case Ev::TaskEnd:
-            if (cur >= 0) g.nodes[cur].t1_us = ev.ts;
-            cur = -1;
-            break;
-          case Ev::Transfer: {
-            const std::int64_t t = lookup(ev.stream, ev.ticket);
-            if (t >= 0) g.nodes[t].bytes += ev.value;
-            break;
+          } else if (cur >= 0 && ev.kind == Rec::Wait) {
+            cause = ev.ticket > 0 ? lookup(ev.stream, ev.ticket) : -1;
+          } else if (cur >= 0 && std::strcmp(ev.arg_key, "bytes") == 0) {
+            g.nodes[cur].bytes += ev.value;
           }
-          case Ev::WaitBegin:
-            if (ev.in_task) {
-              pending_wait_ts = ev.ts;
-              pending_cause = ev.ticket > 0 ? lookup(ev.stream, ev.ticket) : -1;
-            }
-            break;
-          case Ev::WaitEnd:
-            if (ev.in_task && pending_wait_ts >= 0.0) {
-              if (pending_cause >= 0 && cur >= 0)
-                g.edges.push_back(Edge{pending_cause, cur, EdgeKind::Cause});
-              pending_wait_ts = -1.0;
-              pending_cause = -1;
-            }
-            break;
-          default:
-            break;
+        } else if (ev.ph == 'E' && !open.empty()) {
+          const Rec closed = open.back();
+          open.pop_back();
+          if (closed == Rec::Task) {
+            if (cur >= 0) g.nodes[cur].t1_us = ev.ts_us;
+            cur = -1;
+          } else if (closed == Rec::Wait && cur >= 0 && cause >= 0) {
+            g.edges.push_back(Edge{cause, cur, EdgeKind::Cause});
+            cause = -1;
+          }
         }
       }
     }
@@ -313,22 +142,20 @@ struct Assembler {
     //    Enq/Cause edges. A thread is "host" iff it never began a task.
     struct HostRef {
       std::uint32_t tid;
-      const std::vector<DagEvent>* evs;
+      const std::vector<TraceEvent>* evs;
       std::size_t enq_count;
       double first_ts;
     };
     std::vector<HostRef> hosts;
-    for (const auto& [tid, evs] : bufs) {
-      bool worker = false;
+    for (std::size_t t = 0; t < bufs.size(); ++t) {
+      const auto& [tid, evs] = bufs[t];
       std::size_t boundary = 0, enq_count = 0;
-      for (const DagEvent& ev : evs) {
-        if (ev.kind == Ev::TaskBegin) worker = true;
-        if (ev.kind == Ev::Enqueue) ++enq_count;
-        if (ev.kind == Ev::Enqueue || ev.kind == Ev::WaitBegin || ev.kind == Ev::Mark ||
-            ev.kind == Ev::SpanBegin)
-          ++boundary;
+      for (const TraceEvent& ev : evs) {
+        if (ev.kind == Rec::Enqueue) ++enq_count;
+        if (ev.kind == Rec::Enqueue || ev.kind == Rec::Mark || ev.ph == 'B') ++boundary;
       }
-      if (!worker && boundary > 0) hosts.push_back(HostRef{tid, &evs, enq_count, evs.front().ts});
+      if (!worker[t] && boundary > 0)
+        hosts.push_back(HostRef{tid, &evs, enq_count, evs.front().ts_us});
     }
     std::sort(hosts.begin(), hosts.end(), [](const HostRef& a, const HostRef& b) {
       return std::tie(b.enq_count, a.first_ts, a.tid) < std::tie(a.enq_count, b.first_ts, b.tid);
@@ -347,8 +174,8 @@ struct Assembler {
     }
 
     // 5. An event_record task signals its Event from inside the task body,
-    //    so a dependent wait can wake a few µs before the worker stamps
-    //    TaskEnd. The signal is the task's true completion: clamp its end
+    //    so a dependent wait can wake a few µs before the worker ends the
+    //    task span. The signal is the task's true completion: clamp its end
     //    down to the earliest dependent wake so every Cause edge satisfies
     //    pred.t1 ≤ succ's CPM position (the CP ≤ wall invariant). Only
     //    lowers t1, so the task's outgoing Fifo edges stay consistent.
@@ -361,24 +188,24 @@ struct Assembler {
   }
 
  private:
-  void build_host_chain(std::uint32_t tid, const std::vector<DagEvent>& evs, bool primary) {
+  void build_host_chain(std::uint32_t tid, const std::vector<TraceEvent>& evs, bool primary) {
     bool has_chain = false;
-    for (const DagEvent& ev : evs)
-      if (ev.kind == Ev::Enqueue || ev.kind == Ev::WaitBegin || ev.kind == Ev::Mark)
+    for (const TraceEvent& ev : evs)
+      if (ev.kind == Rec::Enqueue || ev.kind == Rec::Mark || (ev.ph == 'B' && ev.kind == Rec::Wait))
         has_chain = true;
 
     std::int64_t prev = -1;
-    double seg_start = evs.front().ts;
+    double seg_start = evs.front().ts_us;
     std::int32_t iter = -1;
     std::int8_t phase = 0;
-    double wait_t0 = -1.0;
-    const char* wait_kind = "";
-    const char* wait_site = "";
-    std::uint64_t wait_stream = 0, wait_ticket = 0;
-    std::vector<std::int64_t> span_stack;
+    // Open spans and waits, innermost last: a span's node index, or -1 and
+    // the begin event for a wait.
+    std::vector<std::pair<std::int64_t, const TraceEvent*>> open;
 
     const auto add_chain = [&](Node&& nd) -> std::int64_t {
       nd.tid = tid;
+      nd.iter = iter;
+      nd.phase = phase;
       const auto idx = static_cast<std::int64_t>(g.nodes.size());
       g.nodes.push_back(std::move(nd));
       if (prev >= 0) g.edges.push_back(Edge{prev, idx, EdgeKind::Seq});
@@ -392,102 +219,78 @@ struct Assembler {
       nd.label = "host";
       nd.t0_us = seg_start;
       nd.t1_us = std::max(seg_start, ts);
-      nd.iter = iter;
-      nd.phase = phase;
       seg_start = ts;
       return add_chain(std::move(nd));
     };
 
-    for (const DagEvent& ev : evs) {
-      switch (ev.kind) {
-        case Ev::SpanBegin: {
-          Node nd;
-          nd.kind = NodeKind::Span;
-          nd.label = std::string(ev.a) + "/" + ev.b;
-          nd.t0_us = ev.ts;
-          nd.t1_us = g.t1_us;  // refined when the matching end arrives
-          nd.tid = tid;
-          if (std::strcmp(ev.a, "hybrid") == 0) {
-            if (std::strcmp(ev.b, "panel") == 0) {
-              ++iter;
-              phase = 1;
-            } else if (std::strcmp(ev.b, "update") == 0) {
-              phase = 2;
-            }
-          }
-          nd.iter = iter;
-          nd.phase = phase;
-          span_stack.push_back(static_cast<std::int64_t>(g.nodes.size()));
-          g.nodes.push_back(std::move(nd));
-          break;
+    for (const TraceEvent& ev : evs) {
+      if (ev.kind == Rec::Enqueue) {
+        const std::int64_t work = close_work(ev.ts_us);
+        const std::int64_t task = lookup(ev.stream, ev.ticket);
+        if (task >= 0) {
+          g.nodes[task].iter = iter;
+          g.nodes[task].phase = phase;
+          g.nodes[task].enq_after = work;
+          g.edges.push_back(Edge{work, task, EdgeKind::Enq});
         }
-        case Ev::SpanEnd:
-          if (!span_stack.empty()) {
-            Node& nd = g.nodes[span_stack.back()];
-            nd.t1_us = ev.ts;
-            if (nd.label == "hybrid/panel" || nd.label == "hybrid/update") phase = 0;
-            span_stack.pop_back();
+      } else if (ev.kind == Rec::Mark) {
+        close_work(ev.ts_us);
+        Node nd;
+        nd.kind = NodeKind::Mark;
+        nd.label = ev.name;
+        nd.t0_us = nd.t1_us = ev.ts_us;
+        add_chain(std::move(nd));
+      } else if (ev.ph == 'B' && ev.kind == Rec::Wait) {
+        close_work(ev.ts_us);
+        open.emplace_back(-1, &ev);
+      } else if (ev.ph == 'B') {
+        Node nd;
+        nd.kind = NodeKind::Span;
+        nd.label = std::string(ev.cat) + "/" + ev.name;
+        nd.t0_us = ev.ts_us;
+        nd.t1_us = g.t1_us;  // refined when the matching end arrives
+        nd.tid = tid;
+        if (std::strcmp(ev.cat, "hybrid") == 0) {
+          if (std::strcmp(ev.name, "panel") == 0) {
+            ++iter;
+            phase = 1;
+          } else if (std::strcmp(ev.name, "update") == 0) {
+            phase = 2;
           }
-          break;
-        case Ev::Enqueue: {
-          const std::int64_t work = close_work(ev.ts);
-          const std::int64_t task = lookup(ev.stream, ev.ticket);
-          if (task >= 0) {
-            g.nodes[task].iter = iter;
-            g.nodes[task].phase = phase;
-            g.nodes[task].enq_after = work;
-            g.edges.push_back(Edge{work, task, EdgeKind::Enq});
-          }
-          break;
         }
-        case Ev::WaitBegin:
-          if (!ev.in_task) {
-            close_work(ev.ts);
-            wait_t0 = ev.ts;
-            wait_kind = ev.a;
-            wait_site = ev.b;
-            wait_stream = ev.stream;
-            wait_ticket = ev.ticket;
-          }
-          break;
-        case Ev::WaitEnd: {
-          if (ev.in_task || wait_t0 < 0.0) break;
-          Node nd;
-          nd.kind = NodeKind::Wait;
-          nd.label = wait_kind;
-          nd.site = wait_site;
-          nd.stream = wait_stream;
-          nd.ticket = wait_ticket;
-          nd.t0_us = wait_t0;
-          nd.t1_us = ev.ts;
-          nd.iter = iter;
-          nd.phase = phase;
-          nd.cause = wait_ticket > 0 ? lookup(wait_stream, wait_ticket) : -1;
-          const std::int64_t cause = nd.cause;
-          const std::int64_t idx = add_chain(std::move(nd));
-          if (cause >= 0) g.edges.push_back(Edge{cause, idx, EdgeKind::Cause});
-          seg_start = ev.ts;
-          wait_t0 = -1.0;
-          break;
+        nd.iter = iter;
+        nd.phase = phase;
+        open.emplace_back(static_cast<std::int64_t>(g.nodes.size()), &ev);
+        g.nodes.push_back(std::move(nd));
+      } else if (ev.ph == 'E' && !open.empty()) {
+        const auto [span, begin] = open.back();
+        open.pop_back();
+        if (span >= 0) {
+          Node& nd = g.nodes[span];
+          nd.t1_us = ev.ts_us;
+          if (nd.label == "hybrid/panel" || nd.label == "hybrid/update") phase = 0;
+          continue;
         }
-        case Ev::Mark: {
-          close_work(ev.ts);
-          Node nd;
-          nd.kind = NodeKind::Mark;
-          nd.label = ev.a;
-          nd.t0_us = nd.t1_us = ev.ts;
-          nd.iter = iter;
-          nd.phase = phase;
-          add_chain(std::move(nd));
-          break;
-        }
-        default:
-          break;
+        // A wait: kind "synchronize" / "event_wait" is its site's prefix.
+        const std::string_view site(begin->name);
+        Node nd;
+        nd.kind = NodeKind::Wait;
+        nd.label = site.substr(0, site.find('@'));
+        nd.site = site.find('@') == std::string_view::npos ? "" : site;
+        nd.stream = begin->stream;
+        nd.ticket = begin->ticket;
+        nd.t0_us = begin->ts_us;
+        nd.t1_us = ev.ts_us;
+        nd.cause = begin->ticket > 0 ? lookup(begin->stream, begin->ticket) : -1;
+        const std::int64_t cause = nd.cause;
+        const std::int64_t idx = add_chain(std::move(nd));
+        if (cause >= 0) g.edges.push_back(Edge{cause, idx, EdgeKind::Cause});
+        seg_start = ev.ts_us;
       }
     }
     // Tail segment: host activity after the last boundary (result checks,
     // report writing) still belongs on the chain.
-    if (has_chain) close_work(evs.back().ts);
+    if (has_chain) close_work(evs.back().ts_us);
   }
 };
 
@@ -513,21 +316,20 @@ struct Assembler {
 // ---------------------------------------------------------------------------
 // Public recorder surface.
 
-bool enabled() noexcept { return g_on.load(std::memory_order_relaxed); }
+bool enabled() noexcept { return obs::detail::sink_on(obs::detail::kDag); }
 
-void start() { DagRecorder::instance().start(); }
+void start() {
+  obs::detail::for_each_buffer([](obs::detail::ThreadBuffer& b) { b.dag.clear(); });
+  obs::detail::set_sink(obs::detail::kDag, true);
+}
 
 Graph stop() {
-  if (!enabled()) {
-    g_on.store(false, std::memory_order_relaxed);
-    return Graph{};
-  }
-  auto bufs = DagRecorder::instance().drain();
+  if (!enabled()) return Graph{};
   Assembler as;
-  as.run(bufs);
+  as.run(collect(/*drain=*/true));
   // Render the cause edges as Perfetto flow arrows when a trace file is
   // being recorded alongside: finished task → the host wait it released.
-  if (obs::detail::trace_file_active()) {
+  if (obs::detail::sink_on(obs::detail::kFile)) {
     double id = 1.0;
     for (const Edge& e : as.g.edges) {
       if (e.kind != EdgeKind::Cause) continue;
@@ -543,9 +345,8 @@ Graph stop() {
 
 std::string tail_json(std::size_t max_nodes) {
   if (!enabled()) return "[]";
-  auto bufs = DagRecorder::instance().snapshot_events();
   Assembler as;
-  as.run(bufs);
+  as.run(collect(/*drain=*/false));
   const std::vector<Node>& nodes = as.g.nodes;
   // Newest slice of the timeline: sort node indices by end time, keep the
   // trailing max_nodes, then render them back in chronological order.
@@ -569,9 +370,9 @@ std::string tail_json(std::size_t max_nodes) {
     out += ",\"tid\":" + std::to_string(nd.tid);
     out += ",\"stream\":" + std::to_string(nd.stream);
     out += ",\"t0_us\":";
-    append_num(out, nd.t0_us);
+    append_num(out, nd.t0_us, 17);
     out += ",\"t1_us\":";
-    append_num(out, nd.t1_us);
+    append_num(out, nd.t1_us, 17);
     if (!nd.site.empty()) {
       out += ",\"site\":\"";
       append_escaped(out, nd.site);
@@ -584,12 +385,7 @@ std::string tail_json(std::size_t max_nodes) {
 }
 
 void mark(const char* label) noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::Mark;
-  ev.a = label;
-  DagRecorder::instance().record(ev);
+  if (enabled()) obs::detail::record(TraceEvent{.name = label, .ph = 'i', .kind = Rec::Mark});
 }
 
 void init_from_env() {
@@ -609,103 +405,6 @@ void init_from_env() {
     if (os) os << g.to_json() << "\n";
   });
 }
-
-namespace detail {
-
-bool active() noexcept { return enabled(); }
-
-bool thread_in_task() noexcept { return t_in_task; }
-
-void on_enqueue(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::Enqueue;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  ev.a = label;
-  DagRecorder::instance().record(ev);
-}
-
-void on_task_begin(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept {
-  t_in_task = true;
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::TaskBegin;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  ev.a = label;
-  DagRecorder::instance().record(ev);
-}
-
-void on_task_end(std::uint64_t stream, std::uint64_t ticket) noexcept {
-  t_in_task = false;
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::TaskEnd;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  DagRecorder::instance().record(ev);
-}
-
-void on_transfer(std::uint64_t stream, std::uint64_t ticket, double bytes) noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::Transfer;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  ev.value = bytes;
-  DagRecorder::instance().record(ev);
-}
-
-void on_wait_begin(const char* kind, const char* site, std::uint64_t stream,
-                   std::uint64_t ticket) noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::WaitBegin;
-  ev.stream = stream;
-  ev.ticket = ticket;
-  ev.a = kind;
-  ev.b = site != nullptr ? site : "";
-  ev.in_task = t_in_task;
-  DagRecorder::instance().record(ev);
-}
-
-void on_wait_end() noexcept {
-  if (!enabled()) return;
-  DagEvent ev;
-  ev.ts = obs::detail::now_us();
-  ev.kind = Ev::WaitEnd;
-  ev.in_task = t_in_task;
-  DagRecorder::instance().record(ev);
-}
-
-void on_span(char ph, const char* cat, const char* name, double ts_us) noexcept {
-  if (!enabled() || t_in_task) return;
-  // Stream spans (tasks, synchronize, event_wait) arrive through the
-  // dedicated hooks; recording them again would double-count. 'E' events
-  // carry no category, so balance the skipped 'B' with a per-thread depth.
-  if (ph == 'B' && std::strcmp(cat, "stream") == 0) {
-    ++t_skipped_spans;
-    return;
-  }
-  if (ph == 'E' && t_skipped_spans > 0) {
-    --t_skipped_spans;
-    return;
-  }
-  DagEvent ev;
-  ev.ts = ts_us;
-  ev.kind = ph == 'B' ? Ev::SpanBegin : Ev::SpanEnd;
-  ev.a = cat;
-  ev.b = name;
-  DagRecorder::instance().record(ev);
-}
-
-}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Graph serialization.
@@ -728,9 +427,9 @@ std::string Graph::to_json() const {
   std::string out;
   out.reserve(64 + nodes.size() * 96 + edges.size() * 16);
   out += "{\"version\":1,\"t0_us\":";
-  append_num(out, t0_us);
+  append_num(out, t0_us, 17);
   out += ",\"t1_us\":";
-  append_num(out, t1_us);
+  append_num(out, t1_us, 17);
   out += ",\"host_order\":[";
   for (std::size_t i = 0; i < host_order.size(); ++i) {
     if (i > 0) out += ',';
@@ -753,13 +452,13 @@ std::string Graph::to_json() const {
     out += ',';
     out += std::to_string(nd.ticket);
     out += ',';
-    append_num(out, nd.t0_us);
+    append_num(out, nd.t0_us, 17);
     out += ',';
-    append_num(out, nd.t1_us);
+    append_num(out, nd.t1_us, 17);
     out += ',';
-    append_num(out, nd.enq_us);
+    append_num(out, nd.enq_us, 17);
     out += ',';
-    append_num(out, nd.bytes);
+    append_num(out, nd.bytes, 17);
     out += ',';
     out += std::to_string(nd.cause);
     out += ',';
@@ -1120,17 +819,17 @@ std::string section_json(const Graph& g, const Analysis& a,
   out += ",\"spans\":" + std::to_string(g.count(NodeKind::Span));
   out += ",\"marks\":" + std::to_string(g.count(NodeKind::Mark));
   out += ",\"wall_s\":";
-  append_num(out, a.wall_s);
+  append_num(out, a.wall_s, 17);
   out += ",\"critical_path_s\":";
-  append_num(out, a.critical_path_s);
+  append_num(out, a.critical_path_s, 17);
   out += ",\"critical_path_data_s\":";
-  append_num(out, a.critical_path_data_s);
+  append_num(out, a.critical_path_data_s, 17);
   out += ",\"host_blocked_s\":";
-  append_num(out, a.host_blocked_s);
+  append_num(out, a.host_blocked_s, 17);
   out += ",\"attributed_s\":";
-  append_num(out, a.attributed_s);
+  append_num(out, a.attributed_s, 17);
   out += ",\"attributed_frac\":";
-  append_num(out, a.attributed_frac);
+  append_num(out, a.attributed_frac, 17);
   out += ",\"critical_path\":[";
   const std::size_t path_n = std::min<std::size_t>(a.path.size(), 10);
   for (std::size_t i = 0; i < path_n; ++i) {
@@ -1139,7 +838,7 @@ std::string section_json(const Graph& g, const Analysis& a,
     append_escaped(out, a.path[i].label);
     out += "\",\"count\":" + std::to_string(a.path[i].count);
     out += ",\"seconds\":";
-    append_num(out, a.path[i].seconds);
+    append_num(out, a.path[i].seconds, 17);
     out += "}";
   }
   out += "],\"blocking_edges\":[";
@@ -1155,7 +854,7 @@ std::string section_json(const Graph& g, const Analysis& a,
     append_escaped(out, cg.waiting_on);
     out += "\",\"count\":" + std::to_string(cg.count);
     out += ",\"seconds\":";
-    append_num(out, cg.seconds);
+    append_num(out, cg.seconds, 17);
     out += "}";
   }
   out += "],\"what_if\":[";
@@ -1167,17 +866,17 @@ std::string section_json(const Graph& g, const Analysis& a,
     out += "\",\"lookahead\":" + std::to_string(p.scenario.lookahead);
     out += ",\"streams\":" + std::to_string(p.scenario.streams);
     out += ",\"dev_scale\":";
-    append_num(out, p.scenario.dev_scale);
+    append_num(out, p.scenario.dev_scale, 17);
     out += ",\"wall_s\":";
-    append_num(out, p.wall_s);
+    append_num(out, p.wall_s, 17);
     out += ",\"device_busy_s\":";
-    append_num(out, p.device_busy_s);
+    append_num(out, p.device_busy_s, 17);
     out += ",\"host_blocked_s\":";
-    append_num(out, p.host_blocked_s);
+    append_num(out, p.host_blocked_s, 17);
     out += ",\"overlap_fraction\":";
-    append_num(out, p.overlap_fraction);
+    append_num(out, p.overlap_fraction, 17);
     out += ",\"speedup_vs_recorded\":";
-    append_num(out, p.speedup);
+    append_num(out, p.speedup, 17);
     out += "}";
   }
   out += "]}";

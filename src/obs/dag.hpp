@@ -1,12 +1,12 @@
-// fth::obs::dag — execution-DAG recorder with critical-path attribution and
-// what-if overlap analysis (DESIGN.md §12).
+// fth::obs::dag — execution-DAG sink of the event recorder, with
+// critical-path attribution and what-if overlap analysis (DESIGN.md §12).
 //
-// While recording (FTH_DAG=1 or a bench's --dag flag), every stream task,
-// h2d/d2h transfer, Event record, host wait (synchronize / event_wait,
-// tagged with its interned call site), and host span is captured as a
-// timestamped event in per-thread buffers — the same uncontended-mutex
-// discipline as the trace recorder, and the same zero-cost-when-off shape:
-// each hook is one relaxed atomic load when the recorder is idle.
+// While armed (FTH_DAG=1 or a bench's --dag flag), the recorder
+// (obs/trace.hpp) keeps every stream enqueue, task, host wait
+// (synchronize / event_wait, tagged with its interned call site), host
+// span and dag::mark in the DAG's share of its per-thread buffers — the
+// same records the trace file, flight ring and profiler read, at the same
+// zero cost when off: each hook is one relaxed atomic load.
 //
 // stop() assembles the events into a Graph whose happens-before edges come
 // from the very machinery fth::check already trusts:
@@ -197,30 +197,5 @@ struct Prediction {
 /// Human-readable summary: totals, top blocking edges, what-if table.
 void print_analysis(const Graph& g, const Analysis& a,
                     const std::vector<Prediction>& what_if, std::FILE* out);
-
-// --- Hot-path hooks (hybrid layer + trace recorder) -------------------------
-
-namespace detail {
-/// Same contract as profile_detail::active(): one relaxed load.
-[[nodiscard]] bool active() noexcept;
-
-/// True on a stream worker thread between task begin/end (so spans and
-/// waits executed inside tasks are not double-counted as host activity).
-[[nodiscard]] bool thread_in_task() noexcept;
-
-void on_enqueue(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept;
-void on_task_begin(std::uint64_t stream, std::uint64_t ticket, const char* label) noexcept;
-void on_task_end(std::uint64_t stream, std::uint64_t ticket) noexcept;
-void on_transfer(std::uint64_t stream, std::uint64_t ticket, double bytes) noexcept;
-/// `kind` is "synchronize" or "event_wait"; `site` an interned call-site
-/// label; `ticket` the newest ticket the wait can observe (0 = none).
-void on_wait_begin(const char* kind, const char* site, std::uint64_t stream,
-                   std::uint64_t ticket) noexcept;
-void on_wait_end() noexcept;
-/// Live feed from the trace recorder (already timestamped). Stream-category
-/// spans and spans on in-task threads are ignored here — tasks and waits
-/// arrive through the dedicated hooks above.
-void on_span(char ph, const char* cat, const char* name, double ts_us) noexcept;
-}  // namespace detail
 
 }  // namespace fth::obs::dag

@@ -10,6 +10,7 @@
 
 #include "common/json.hpp"
 #include "obs/trace.hpp"
+#include "obs/util.hpp"
 
 namespace fth::obs {
 
@@ -22,27 +23,6 @@ namespace {
 std::mutex g_dir_m;
 std::string g_dir;                       // guarded by g_dir_m
 std::atomic<std::uint64_t> g_seq{0};     // capsule sequence (process-wide)
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      out += hex;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
 
 void append_str_field(std::string& out, const char* key, std::string_view v) {
   out += ",\"";

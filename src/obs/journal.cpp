@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "obs/trace.hpp"
+#include "obs/util.hpp"
 
 namespace fth::obs {
 
@@ -72,28 +73,6 @@ class JournalRing {
   std::size_t next_ = 0;
   bool wrapped_ = false;
 };
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      out += hex;
-    } else {
-      out.push_back(c);
-    }
-  }
-}
-
-void append_num(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
 
 // Honour FTH_JOURNAL for any binary linking the library (same pattern as
 // the trace recorder's env hook).

@@ -1,10 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "obs/util.hpp"
 
 namespace fth::obs {
 
@@ -92,67 +93,39 @@ Registry::CounterValues Registry::counter_delta(const CounterValues& now,
   return out;
 }
 
-namespace {
-
-void append_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      os << hex;
-    } else {
-      os << c;
-    }
-  }
-  os << '"';
-}
-
-void append_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {  // JSON has no inf/nan
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  os << buf;
-}
-
-}  // namespace
-
 void Registry::write_json(std::ostream& os) const {
   std::lock_guard lock(m_);
-  os << "{\"counters\":{";
+  std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    if (!first) os << ',';
+    if (!first) out += ',';
     first = false;
-    append_json_string(os, name);
-    os << ':' << c.value();
+    out += '"';
+    append_escaped(out, name);
+    out += "\":" + std::to_string(c.value());
   }
-  os << "},\"histograms\":{";
+  out += "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    if (!first) os << ',';
+    if (!first) out += ',';
     first = false;
     const auto s = h.snapshot();
-    append_json_string(os, name);
-    os << ":{\"count\":" << s.count << ",\"sum\":";
-    append_double(os, s.sum);
-    os << ",\"min\":";
-    append_double(os, s.count > 0 ? s.min : 0.0);
-    os << ",\"max\":";
-    append_double(os, s.count > 0 ? s.max : 0.0);
-    os << ",\"min_exp\":" << Histogram::kMinExp << ",\"buckets\":[";
+    out += '"';
+    append_escaped(out, name);
+    out += "\":{\"count\":" + std::to_string(s.count) + ",\"sum\":";
+    append_num(out, s.sum, 17);
+    out += ",\"min\":";
+    append_num(out, s.count > 0 ? s.min : 0.0, 17);
+    out += ",\"max\":";
+    append_num(out, s.count > 0 ? s.max : 0.0, 17);
+    out += ",\"min_exp\":" + std::to_string(Histogram::kMinExp) + ",\"buckets\":[";
     for (int b = 0; b < Histogram::kBuckets; ++b) {
-      if (b > 0) os << ',';
-      os << s.buckets[static_cast<std::size_t>(b)];
+      if (b > 0) out += ',';
+      out += std::to_string(s.buckets[static_cast<std::size_t>(b)]);
     }
-    os << "]}";
+    out += "]}";
   }
-  os << "}}";
+  os << out << "}}";
 }
 
 std::string Registry::to_json() const {

@@ -1,7 +1,6 @@
 #include "obs/profile.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -10,239 +9,137 @@
 #include <unordered_map>
 
 #include "common/flops.hpp"
-#include "obs/trace.hpp"
+#include "obs/recorder.hpp"
 
 namespace fth::obs {
 
-namespace profile_detail {
-std::atomic<bool> g_active{false};
-
-namespace {
-/// Pool ordinal the calling thread claims (device workers only; -1 host).
-thread_local int t_device_ordinal = -1;
-}  // namespace
-
-void set_device_ordinal(int ordinal) noexcept { t_device_ordinal = ordinal; }
-}  // namespace profile_detail
-
-namespace {
+using detail::ProfileAgg;
 
 // ---------------------------------------------------------------------------
-// Aggregation core, shared by the live profiler (one Agg per thread) and the
-// offline ProfileBuilder (one Agg per trace tid). Spans are keyed by their
-// (cat, name) pointers but hashed/compared by content, so literals and
-// interned names merge correctly.
+// Aggregation core (declared in obs/recorder.hpp): the recorder folds each
+// thread's spans into its buffer's ProfileAgg live; ProfileBuilder replays
+// a trace file into one ProfileAgg per tid.
 
-struct PhaseKey {
-  const char* cat;
-  const char* name;
-  bool operator==(const PhaseKey& o) const noexcept {
-    return std::strcmp(cat, o.cat) == 0 && std::strcmp(name, o.name) == 0;
+void ProfileAgg::note_ts(double ts) {
+  if (!any) {
+    first_ts = last_ts = ts;
+    any = true;
+  } else {
+    first_ts = std::min(first_ts, ts);
+    last_ts = std::max(last_ts, ts);
   }
-};
-
-struct PhaseKeyHash {
-  std::size_t operator()(const PhaseKey& k) const noexcept {
-    std::size_t h = 1469598103934665603ull;
-    const auto mix = [&h](const char* p) {
-      for (; *p != '\0'; ++p) h = (h ^ static_cast<unsigned char>(*p)) * 1099511628211ull;
-    };
-    mix(k.cat);
-    h = (h ^ 0x2F) * 1099511628211ull;
-    mix(k.name);
-    return h;
-  }
-};
-
-struct PhaseAccum {
-  std::uint64_t calls = 0;
-  double wall_us = 0.0;
-  double self_us = 0.0;
-  std::uint64_t flops = 0;
-  double arg_sum = 0.0;
-};
-
-struct Frame {
-  PhaseKey key;
-  double t0 = 0.0;
-  double mark_ts = 0.0;           // start of the current self segment
-  std::uint64_t mark_flops = 0;   // thread-flops at the segment start
-  double arg = 0.0;
-  double self_us = 0.0;
-  std::uint64_t self_flops = 0;
-  bool is_task = false, is_wait = false, is_panel = false, is_update = false;
-};
-
-struct Interval {
-  double b, e;
-};
-
-struct Agg {
-  std::vector<Frame> stack;
-  std::unordered_map<PhaseKey, PhaseAccum, PhaseKeyHash> phases;
-  std::vector<Interval> device_busy;  // stream/task spans (device worker)
-  std::vector<Interval> host_wait;    // stream/synchronize + stream/event_wait
-  bool is_device = false;
-  int device_ordinal = -1;  // pool ordinal self-reported by the worker (live)
-  double pending_panel_t0 = -1.0;  // panel begin awaiting its update end
-  std::uint64_t iters = 0;
-  double iter_sum_us = 0.0;
-  double iter_max_us = 0.0;
-  double first_ts = 0.0, last_ts = 0.0;
-  bool any = false;
-
-  void note_ts(double ts) {
-    if (!any) {
-      first_ts = last_ts = ts;
-      any = true;
-    } else {
-      first_ts = std::min(first_ts, ts);
-      last_ts = std::max(last_ts, ts);
-    }
-  }
-
-  void begin(const char* cat, const char* name, double ts, double arg, std::uint64_t fl) {
-    note_ts(ts);
-    if (!stack.empty()) {
-      Frame& p = stack.back();
-      p.self_us += ts - p.mark_ts;
-      p.self_flops += fl - p.mark_flops;
-    }
-    Frame f;
-    f.key = PhaseKey{cat, name};
-    f.t0 = f.mark_ts = ts;
-    f.mark_flops = fl;
-    f.arg = arg;
-    const bool stream_cat = std::strcmp(cat, "stream") == 0;
-    // Prefix match: waits carry per-site names ("synchronize@file:line")
-    // when any sink is live, so fth_prof can show which of the hundreds of
-    // synchronize sites dominates instead of one aggregate row.
-    f.is_wait = stream_cat && (std::strncmp(name, "synchronize", 11) == 0 ||
-                               std::strncmp(name, "event_wait", 10) == 0);
-    // Any other stream-category span is a worker task (they carry per-task
-    // labels — "dev.gemm", "h2d", "ft.detect", plain "task", ...).
-    f.is_task = stream_cat && !f.is_wait;
-    const bool hybrid_cat = std::strcmp(cat, "hybrid") == 0;
-    f.is_panel = hybrid_cat && std::strcmp(name, "panel") == 0;
-    f.is_update = hybrid_cat && std::strcmp(name, "update") == 0;
-    if (f.is_task) is_device = true;
-    stack.push_back(f);
-  }
-
-  void end(double ts, std::uint64_t fl) {
-    if (stack.empty()) return;  // the span began before the window opened
-    note_ts(ts);
-    Frame f = stack.back();
-    stack.pop_back();
-    f.self_us += ts - f.mark_ts;
-    f.self_flops += fl - f.mark_flops;
-    PhaseAccum& a = phases[f.key];
-    ++a.calls;
-    a.wall_us += ts - f.t0;
-    a.self_us += f.self_us;
-    a.flops += f.self_flops;
-    a.arg_sum += f.arg;
-    if (!stack.empty()) {
-      stack.back().mark_ts = ts;
-      stack.back().mark_flops = fl;
-    }
-    if (f.is_task) {
-      device_busy.push_back(Interval{f.t0, ts});
-    } else if (f.is_wait) {
-      host_wait.push_back(Interval{f.t0, ts});
-    } else if (f.is_panel) {
-      pending_panel_t0 = f.t0;
-    } else if (f.is_update && pending_panel_t0 >= 0.0) {
-      const double d = ts - pending_panel_t0;
-      ++iters;
-      iter_sum_us += d;
-      iter_max_us = std::max(iter_max_us, d);
-      pending_panel_t0 = -1.0;
-    }
-  }
-
-  /// Attribute still-open spans up to `ts` (window close mid-span). No new
-  /// FLOPs are credited: the closing thread cannot read the owner's counter.
-  void close_open(double ts) {
-    while (!stack.empty()) end(ts, stack.back().mark_flops);
-  }
-};
-
-/// Sort + merge in place; returns total covered length (µs).
-double merge_union(std::vector<Interval>& v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end(), [](const Interval& a, const Interval& b) { return a.b < b.b; });
-  std::size_t out = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i].b <= v[out].e) {
-      v[out].e = std::max(v[out].e, v[i].e);
-    } else {
-      v[++out] = v[i];
-    }
-  }
-  v.resize(out + 1);
-  double len = 0.0;
-  for (const Interval& iv : v) len += iv.e - iv.b;
-  return len;
 }
 
-/// Overlap length of two already-merged interval lists (µs).
-double intersect_len(const std::vector<Interval>& a, const std::vector<Interval>& b) {
-  double len = 0.0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    const double lo = std::max(a[i].b, b[j].b);
-    const double hi = std::min(a[i].e, b[j].e);
-    if (hi > lo) len += hi - lo;
-    if (a[i].e < b[j].e) ++i;
-    else ++j;
+void ProfileAgg::begin(const char* cat, const char* name, double ts, double arg,
+                       std::uint64_t fl) {
+  note_ts(ts);
+  if (!stack.empty()) {
+    detail::Frame& p = stack.back();
+    p.self_us += ts - p.mark_ts;
+    p.self_flops += fl - p.mark_flops;
   }
-  return len;
+  detail::Frame f;
+  f.key = detail::PhaseKey{cat, name};
+  f.t0 = f.mark_ts = ts;
+  f.mark_flops = fl;
+  f.arg = arg;
+  const bool stream_cat = std::strcmp(cat, "stream") == 0;
+  // Prefix match: waits carry per-site names ("synchronize@file:line")
+  // when any sink is live, so fth_prof can show which of the hundreds of
+  // synchronize sites dominates instead of one aggregate row.
+  f.is_wait = stream_cat && (std::strncmp(name, "synchronize", 11) == 0 ||
+                             std::strncmp(name, "event_wait", 10) == 0);
+  // Any other stream-category span is a worker task (they carry per-task
+  // labels — "dev.gemm", "h2d", "ft.detect", plain "task", ...).
+  f.is_task = stream_cat && !f.is_wait;
+  const bool hybrid_cat = std::strcmp(cat, "hybrid") == 0;
+  f.is_panel = hybrid_cat && std::strcmp(name, "panel") == 0;
+  f.is_update = hybrid_cat && std::strcmp(name, "update") == 0;
+  if (f.is_task) is_device = true;
+  stack.push_back(f);
 }
 
-ProfileReport build_report(const std::vector<Agg*>& aggs, double roofline, double wall_hint_s,
-                           std::uint64_t total_flops) {
+void ProfileAgg::end(double ts, std::uint64_t fl) {
+  if (stack.empty()) return;  // the span began before the window opened
+  note_ts(ts);
+  detail::Frame f = stack.back();
+  stack.pop_back();
+  f.self_us += ts - f.mark_ts;
+  f.self_flops += fl - f.mark_flops;
+  detail::PhaseAccum& a = phases[f.key];
+  ++a.calls;
+  a.wall_us += ts - f.t0;
+  a.self_us += f.self_us;
+  a.flops += f.self_flops;
+  a.arg_sum += f.arg;
+  if (!stack.empty()) {
+    stack.back().mark_ts = ts;
+    stack.back().mark_flops = fl;
+  }
+  if (f.is_task) {
+    device_busy.push_back(Interval{f.t0, ts});
+  } else if (f.is_wait) {
+    host_wait.push_back(Interval{f.t0, ts});
+  } else if (f.is_panel) {
+    pending_panel_t0 = f.t0;
+  } else if (f.is_update && pending_panel_t0 >= 0.0) {
+    const double d = ts - pending_panel_t0;
+    ++iters;
+    iter_sum_us += d;
+    iter_max_us = std::max(iter_max_us, d);
+    pending_panel_t0 = -1.0;
+  }
+}
+
+void ProfileAgg::close_open(double ts) {
+  while (!stack.empty()) end(ts, stack.back().mark_flops);
+}
+
+namespace {
+
+ProfileReport build_report(const std::vector<ProfileAgg>& aggs, double roofline,
+                           double wall_hint_s, std::uint64_t total_flops) {
   ProfileReport rep;
   rep.roofline_gflops = roofline;
   rep.total_flops = total_flops;
 
-  std::map<std::tuple<std::string, std::string, std::string>, PhaseAccum> merged;
+  std::map<std::tuple<std::string, std::string, std::string>, detail::PhaseAccum> merged;
   std::vector<Interval> dev, wait;
   std::vector<double> per_dev_us;            // busy-union per device track
   std::map<int, std::vector<Interval>> ord;  // same, keyed by self-reported ordinal
   bool any = false;
   double first = 0.0, last = 0.0;
-  for (Agg* a : aggs) {
-    const char* track = a->is_device ? "device" : "host";
-    if (a->is_device && !a->device_busy.empty()) {
-      std::vector<Interval> own = a->device_busy;
+  for (const ProfileAgg& a : aggs) {
+    const char* track = a.is_device ? "device" : "host";
+    if (a.is_device && !a.device_busy.empty()) {
+      std::vector<Interval> own = a.device_busy;
       per_dev_us.push_back(merge_union(own));
-      if (a->device_ordinal >= 0) {
-        auto& iv = ord[a->device_ordinal];
-        iv.insert(iv.end(), a->device_busy.begin(), a->device_busy.end());
+      if (a.device_ordinal >= 0) {
+        auto& iv = ord[a.device_ordinal];
+        iv.insert(iv.end(), a.device_busy.begin(), a.device_busy.end());
       }
     }
-    for (const auto& [k, acc] : a->phases) {
-      PhaseAccum& m = merged[{track, k.cat, k.name}];
+    for (const auto& [k, acc] : a.phases) {
+      detail::PhaseAccum& m = merged[{track, k.cat, k.name}];
       m.calls += acc.calls;
       m.wall_us += acc.wall_us;
       m.self_us += acc.self_us;
       m.flops += acc.flops;
       m.arg_sum += acc.arg_sum;
     }
-    dev.insert(dev.end(), a->device_busy.begin(), a->device_busy.end());
-    wait.insert(wait.end(), a->host_wait.begin(), a->host_wait.end());
-    rep.iterations += a->iters;
-    rep.iter_max_s = std::max(rep.iter_max_s, a->iter_max_us / 1e6);
-    rep.iter_avg_s += a->iter_sum_us;  // sum for now; divided below
-    if (a->any) {
+    dev.insert(dev.end(), a.device_busy.begin(), a.device_busy.end());
+    wait.insert(wait.end(), a.host_wait.begin(), a.host_wait.end());
+    rep.iterations += a.iters;
+    rep.iter_max_s = std::max(rep.iter_max_s, a.iter_max_us / 1e6);
+    rep.iter_avg_s += a.iter_sum_us;  // sum for now; divided below
+    if (a.any) {
       if (!any) {
-        first = a->first_ts;
-        last = a->last_ts;
+        first = a.first_ts;
+        last = a.last_ts;
         any = true;
       } else {
-        first = std::min(first, a->first_ts);
-        last = std::max(last, a->last_ts);
+        first = std::min(first, a.first_ts);
+        last = std::max(last, a.last_ts);
       }
     }
   }
@@ -295,149 +192,74 @@ ProfileReport build_report(const std::vector<Agg*>& aggs, double roofline, doubl
   return rep;
 }
 
-// ---------------------------------------------------------------------------
-// Live profiler: per-thread Agg behind an uncontended mutex (the owning
-// thread locks on every span boundary, the stopping thread at window close)
-// — the same discipline as the trace recorder's ThreadBuffers.
-
-struct LiveState {
+// Live window bookkeeping; the per-thread aggregates live in the
+// recorder's thread buffers.
+struct Window {
   std::mutex m;
-  Agg agg;
+  double start_ts = 0.0;
+  std::uint64_t flops0 = 0;
+  bool prev_flops_enabled = false;
+  bool running = false;
 };
 
-class LiveProfiler {
- public:
-  static LiveProfiler& instance() {
-    static LiveProfiler p;
-    return p;
-  }
-
-  void start() {
-    std::lock_guard lock(registry_m_);
-    profile_detail::g_active.store(false, std::memory_order_relaxed);
-    for (auto& s : states_) {
-      std::lock_guard sl(s->m);
-      s->agg = Agg{};
-    }
-    if (const char* env = std::getenv("FTH_ROOFLINE_GFLOPS");
-        env != nullptr && env[0] != '\0') {
-      const double v = std::strtod(env, nullptr);
-      if (v > 0.0) roofline_.store(v, std::memory_order_relaxed);
-    }
-    prev_flops_enabled_ = flops::enabled();
-    flops::enable(true);
-    flops0_ = flops::count();
-    start_ts_ = detail::now_us();
-    running_ = true;
-    profile_detail::g_active.store(true, std::memory_order_relaxed);
-  }
-
-  ProfileReport stop() {
-    std::lock_guard lock(registry_m_);
-    if (!running_) return ProfileReport{};
-    profile_detail::g_active.store(false, std::memory_order_relaxed);
-    running_ = false;
-    const double stop_ts = detail::now_us();
-    const std::uint64_t total = flops::count() - flops0_;
-    flops::enable(prev_flops_enabled_);
-    std::vector<std::unique_lock<std::mutex>> locks;
-    std::vector<Agg*> aggs;
-    locks.reserve(states_.size());
-    for (auto& s : states_) {
-      locks.emplace_back(s->m);
-      s->agg.close_open(stop_ts);
-      aggs.push_back(&s->agg);
-    }
-    return build_report(aggs, roofline_.load(std::memory_order_relaxed),
-                        (stop_ts - start_ts_) / 1e6, total);
-  }
-
-  void on_event(char ph, const char* cat, const char* name, double ts, double arg) noexcept {
-    LiveState& s = local();
-    std::lock_guard lock(s.m);
-    // Restamp on every event: start() resets the Agg, so a sticky stamp
-    // taken once at thread start would not survive a new window.
-    s.agg.device_ordinal = profile_detail::t_device_ordinal;
-    const std::uint64_t fl = flops::thread_count();
-    if (ph == 'B') s.agg.begin(cat, name, ts, arg, fl);
-    else if (ph == 'E') s.agg.end(ts, fl);
-  }
-
-  void set_roofline(double v) noexcept { roofline_.store(v, std::memory_order_relaxed); }
-  [[nodiscard]] double roofline() const noexcept {
-    return roofline_.load(std::memory_order_relaxed);
-  }
-
- private:
-  LiveState& local() {
-    thread_local std::shared_ptr<LiveState> st = [this] {
-      auto s = std::make_shared<LiveState>();
-      std::lock_guard lock(registry_m_);
-      states_.push_back(s);
-      return s;
-    }();
-    return *st;
-  }
-
-  std::mutex registry_m_;
-  std::vector<std::shared_ptr<LiveState>> states_;
-  std::atomic<double> roofline_{0.0};
-  double start_ts_ = 0.0;
-  std::uint64_t flops0_ = 0;
-  bool prev_flops_enabled_ = false;
-  bool running_ = false;
-};
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char hex[8];
-      std::snprintf(hex, sizeof hex, "\\u%04x", c);
-      out += hex;
-    } else {
-      out.push_back(c);
-    }
-  }
+Window& window() {
+  static Window w;
+  return w;
 }
 
-void append_num(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  out += buf;
-}
+std::atomic<double> g_roofline{0.0};
 
 }  // namespace
 
-bool profile_enabled() noexcept { return profile_detail::active(); }
+bool profile_enabled() noexcept { return detail::sink_on(detail::kProfile); }
 
-void profile_start() { LiveProfiler::instance().start(); }
+void profile_start() {
+  Window& w = window();
+  std::lock_guard lock(w.m);
+  detail::set_sink(detail::kProfile, false);
+  detail::for_each_buffer([](detail::ThreadBuffer& b) { b.profile = ProfileAgg{}; });
+  if (const char* env = std::getenv("FTH_ROOFLINE_GFLOPS"); env != nullptr && env[0] != '\0') {
+    const double v = std::strtod(env, nullptr);
+    if (v > 0.0) g_roofline.store(v, std::memory_order_relaxed);
+  }
+  w.prev_flops_enabled = flops::enabled();
+  flops::enable(true);
+  w.flops0 = flops::count();
+  w.start_ts = detail::now_us();
+  w.running = true;
+  detail::set_sink(detail::kProfile, true);
+}
 
-ProfileReport profile_stop() { return LiveProfiler::instance().stop(); }
+ProfileReport profile_stop() {
+  Window& w = window();
+  std::lock_guard lock(w.m);
+  if (!w.running) return ProfileReport{};
+  detail::set_sink(detail::kProfile, false);
+  w.running = false;
+  const double stop_ts = detail::now_us();
+  const std::uint64_t total = flops::count() - w.flops0;
+  flops::enable(w.prev_flops_enabled);
+  std::vector<ProfileAgg> aggs;
+  detail::for_each_buffer([&](detail::ThreadBuffer& b) {
+    b.profile.close_open(stop_ts);
+    b.profile.device_ordinal = b.device_ordinal;
+    aggs.push_back(std::move(b.profile));
+    b.profile = ProfileAgg{};
+  });
+  return build_report(aggs, g_roofline.load(std::memory_order_relaxed),
+                      (stop_ts - w.start_ts) / 1e6, total);
+}
 
 void set_profile_roofline(double gflops) noexcept {
-  LiveProfiler::instance().set_roofline(gflops);
+  g_roofline.store(gflops, std::memory_order_relaxed);
 }
 
-double profile_roofline() noexcept { return LiveProfiler::instance().roofline(); }
-
-namespace profile_detail {
-void on_event(char ph, const char* cat, const char* name, double ts_us,
-              double arg_value) noexcept {
-  LiveProfiler::instance().on_event(ph, cat, name, ts_us, arg_value);
-}
-}  // namespace profile_detail
+double profile_roofline() noexcept { return g_roofline.load(std::memory_order_relaxed); }
 
 // --- ProfileBuilder (offline replay) ----------------------------------------
 
 struct ProfileBuilder::Impl {
-  std::map<std::uint64_t, Agg> threads;
+  std::map<std::uint64_t, ProfileAgg> threads;
 };
 
 ProfileBuilder::ProfileBuilder() : impl_(std::make_unique<Impl>()) {}
@@ -453,12 +275,12 @@ void ProfileBuilder::end(std::uint64_t tid, double ts_us, std::uint64_t flops_no
 }
 
 ProfileReport ProfileBuilder::finish(double roofline_gflops, double wall_hint_s) {
-  std::vector<Agg*> aggs;
+  std::vector<ProfileAgg> aggs;
   std::uint64_t total = 0;
   for (auto& [tid, agg] : impl_->threads) {
     agg.close_open(agg.last_ts);  // a truncated trace may end mid-span
-    aggs.push_back(&agg);
     for (const auto& [k, acc] : agg.phases) total += acc.flops;
+    aggs.push_back(std::move(agg));
   }
   return build_report(aggs, roofline_gflops, wall_hint_s, total);
 }

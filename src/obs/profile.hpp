@@ -1,9 +1,9 @@
-// fth::obs profiling — in-process performance attribution built on the
-// trace hooks.
+// fth::obs profiling — in-process performance attribution, one sink of the
+// event recorder (obs/trace.hpp).
 //
-// While a profile window is open, every span the tracing layer sees (the
-// same TraceSpan call sites that feed the Chrome trace) is aggregated live
-// into per-phase totals instead of (or in addition to) being buffered:
+// While a profile window is open, every span the recorder sees (the same
+// records that feed the Chrome trace) is folded live into a bounded
+// per-thread aggregate instead of (or in addition to) being buffered:
 // per (cat, name, track) wall/self time and call counts, FLOPs attributed
 // to the phase that executed them, host-panel vs device-stream overlap,
 // stream occupancy, and the per-iteration critical path. The result is a
@@ -16,7 +16,6 @@
 // can replay an already-written trace file into an identical report.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -64,7 +63,7 @@ struct ProfileReport {
   std::vector<double> per_device_occupancy;
   /// Ordinal-keyed attribution of the same quantity: (pool ordinal,
   /// busy-union / wall), sorted by ordinal. Live mode only — worker threads
-  /// self-report their ordinal (profile_detail::set_device_ordinal); a
+  /// self-report their ordinal (obs::detail::set_device_ordinal); a
   /// replayed trace has no ordinal channel, so the replay report leaves
   /// this empty. JSON emits it as the `stream_occupancy_by_device` object
   /// (a new key — the legacy `stream_occupancy` array and its scalar/
@@ -130,20 +129,5 @@ class ProfileBuilder {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-namespace profile_detail {
-/// Hot-path gate read by the trace recorder on every event.
-extern std::atomic<bool> g_active;
-[[nodiscard]] inline bool active() noexcept {
-  return g_active.load(std::memory_order_relaxed);
-}
-/// Live feed from obs/trace.cpp (already timestamped, calling thread's event).
-void on_event(char ph, const char* cat, const char* name, double ts_us,
-              double arg_value) noexcept;
-/// Device workers self-report their pool ordinal (thread-local; the stream
-/// worker loop calls this once at thread start) so live reports can key
-/// occupancy by ordinal instead of only by anonymous track.
-void set_device_ordinal(int ordinal) noexcept;
-}  // namespace profile_detail
 
 }  // namespace fth::obs

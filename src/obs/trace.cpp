@@ -15,52 +15,54 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flops.hpp"
 #include "obs/dag.hpp"
-#include "obs/profile.hpp"
+#include "obs/recorder.hpp"
 
 namespace fth::obs {
 
+namespace detail {
+std::atomic<unsigned> g_sinks{0};
+
+void set_sink(unsigned sink, bool on) noexcept {
+  if (on) g_sinks.fetch_or(sink, std::memory_order_relaxed);
+  else g_sinks.fetch_and(~sink, std::memory_order_relaxed);
+}
+}  // namespace detail
+
 namespace {
 
-struct TraceEvent {
-  double ts_us = 0.0;
-  double value = 0.0;        // counter value or span argument
-  const char* cat = "";      // string literal or interned (see trace.hpp contract)
-  const char* name = "";     // string literal or interned
-  const char* arg_key = "";  // optional span argument name (string literal)
-  std::uint32_t tid = 0;
-  char ph = '?';
-};
+using detail::kDag;
+using detail::kFile;
+using detail::kFlight;
+using detail::kProfile;
+using detail::Rec;
+using detail::sink_on;
+using detail::ThreadBuffer;
+using detail::TraceEvent;
 
-/// Per-thread buffers. Each thread locks only its own (uncontended) mutex on
-/// the enabled path; the writer locks all of them at flush time. The trace
-/// file uses the unbounded `events` vector; the flight recorder a bounded
-/// ring that keeps only the newest `ring.size()` events.
-struct ThreadBuffer {
-  std::mutex m;
-  std::vector<TraceEvent> events;
-  std::vector<TraceEvent> ring;
-  std::size_t ring_next = 0;
-  bool ring_wrapped = false;
-  std::string thread_name;
-  std::uint32_t tid = 0;
-};
+void sort_by_time(std::vector<TraceEvent>& v) {
+  std::stable_sort(v.begin(), v.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
+}
 
+/// Appends `b`'s ring contents oldest-first: [next, end) then [0, next)
+/// once wrapped.
+void append_ring(std::vector<TraceEvent>& all, const ThreadBuffer& b) {
+  if (b.ring_wrapped)
+    all.insert(all.end(), b.ring.begin() + static_cast<std::ptrdiff_t>(b.ring_next),
+               b.ring.end());
+  all.insert(all.end(), b.ring.begin(), b.ring.begin() + static_cast<std::ptrdiff_t>(b.ring_next));
+}
+
+/// Owns the per-thread buffers. Each thread locks only its own
+/// (uncontended) mutex on the enabled path; the sinks' start/stop code
+/// locks all of them.
 class Recorder {
  public:
   static Recorder& instance() {
     static Recorder r;
     return r;
-  }
-
-  [[nodiscard]] bool enabled() const noexcept {
-    return trace_on_.load(std::memory_order_relaxed) ||
-           flight_on_.load(std::memory_order_relaxed) || profile_detail::active() ||
-           dag::detail::active();
-  }
-
-  [[nodiscard]] bool trace_file_active() const noexcept {
-    return trace_on_.load(std::memory_order_relaxed);
   }
 
   void start(const std::string& path) {
@@ -71,12 +73,12 @@ class Recorder {
       b->events.clear();
     }
     register_atexit();
-    trace_on_.store(true, std::memory_order_relaxed);
+    detail::set_sink(kFile, true);
   }
 
   std::size_t stop() {
-    if (!trace_on_.load(std::memory_order_relaxed)) return 0;
-    trace_on_.store(false, std::memory_order_relaxed);
+    if (!sink_on(kFile)) return 0;
+    detail::set_sink(kFile, false);
     std::lock_guard lock(registry_m_);
     std::vector<TraceEvent> all;
     for (auto& b : buffers_) {
@@ -84,8 +86,7 @@ class Recorder {
       all.insert(all.end(), b->events.begin(), b->events.end());
       b->events.clear();
     }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
+    sort_by_time(all);
     write_file(path_, all);
     return all.size();
   }
@@ -99,11 +100,11 @@ class Recorder {
       reset_ring(*b, capacity);
     }
     install_signal_handlers();
-    flight_on_.store(true, std::memory_order_relaxed);
+    detail::set_sink(kFlight, true);
   }
 
   void flight_stop() {
-    flight_on_.store(false, std::memory_order_relaxed);
+    detail::set_sink(kFlight, false);
     std::lock_guard lock(registry_m_);
     for (auto& b : buffers_) {
       std::lock_guard bl(b->m);
@@ -114,15 +115,11 @@ class Recorder {
     }
   }
 
-  [[nodiscard]] bool flight_active() const noexcept {
-    return flight_on_.load(std::memory_order_relaxed);
-  }
-
   /// Best-effort when called from a signal handler: try-lock everything and
   /// skip what cannot be acquired rather than deadlock on a lock the
   /// interrupted thread holds.
   std::string flight_dump(const char* reason, bool best_effort) noexcept {
-    if (!flight_active()) return "";
+    if (!sink_on(kFlight)) return "";
     std::unique_lock<std::mutex> lock(registry_m_, std::defer_lock);
     if (best_effort) {
       if (!lock.try_lock()) return "";
@@ -137,22 +134,11 @@ class Recorder {
       } else {
         bl.lock();
       }
-      // Oldest-first ring order: [next, end) then [0, next) once wrapped.
-      if (b->ring_wrapped)
-        all.insert(all.end(), b->ring.begin() + static_cast<std::ptrdiff_t>(b->ring_next),
-                   b->ring.end());
-      all.insert(all.end(), b->ring.begin(),
-                 b->ring.begin() + static_cast<std::ptrdiff_t>(b->ring_next));
+      append_ring(all, *b);
     }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
+    sort_by_time(all);
     // Stamp why the dump happened as a final instant on the dumping track.
-    TraceEvent why;
-    why.ts_us = now_us();
-    why.cat = "flight";
-    why.name = reason;
-    why.ph = 'i';
-    all.push_back(why);
+    all.push_back(TraceEvent{.ts_us = now_us(), .cat = "flight", .name = reason, .ph = 'i'});
     std::string path;
     if (const char* env = std::getenv("FTH_FLIGHT_PATH"); env != nullptr && env[0] != '\0') {
       path = env;
@@ -167,21 +153,10 @@ class Recorder {
   /// flight_dump() this never touches the filesystem and keeps only the
   /// newest `max_events` after the cross-thread merge.
   [[nodiscard]] std::string flight_tail_json(std::size_t max_events) {
-    if (!flight_active()) return "[]";
+    if (!sink_on(kFlight)) return "[]";
     std::vector<TraceEvent> all;
-    {
-      std::lock_guard lock(registry_m_);
-      for (auto& b : buffers_) {
-        std::lock_guard bl(b->m);
-        if (b->ring_wrapped)
-          all.insert(all.end(), b->ring.begin() + static_cast<std::ptrdiff_t>(b->ring_next),
-                     b->ring.end());
-        all.insert(all.end(), b->ring.begin(),
-                   b->ring.begin() + static_cast<std::ptrdiff_t>(b->ring_next));
-      }
-    }
-    std::stable_sort(all.begin(), all.end(),
-                     [](const TraceEvent& a, const TraceEvent& b) { return a.ts_us < b.ts_us; });
+    for_each([&](ThreadBuffer& b) { append_ring(all, b); });
+    sort_by_time(all);
     if (all.size() > max_events)
       all.erase(all.begin(), all.end() - static_cast<std::ptrdiff_t>(max_events));
     std::string out = "[";
@@ -203,9 +178,8 @@ class Recorder {
         out += "\"";
       }
       if (ev.ph == 'C' || (ev.ph == 'B' && ev.arg_key[0] != '\0')) {
-        std::snprintf(num, sizeof num, "%.17g", ev.value);
         out += ",\"value\":";
-        out += num;
+        append_num(out, ev.value, 17);
       }
       out += "}";
     }
@@ -214,19 +188,23 @@ class Recorder {
   }
 
   void record(TraceEvent ev) noexcept {
+    const unsigned sinks = detail::g_sinks.load(std::memory_order_relaxed);
+    if (sinks == 0) return;
     ThreadBuffer& b = local_buffer();
     ev.ts_us = now_us();
     ev.tid = b.tid;
-    if (profile_detail::active() && (ev.ph == 'B' || ev.ph == 'E'))
-      profile_detail::on_event(ev.ph, ev.cat, ev.name, ev.ts_us, ev.value);
-    if (dag::detail::active() && (ev.ph == 'B' || ev.ph == 'E'))
-      dag::detail::on_span(ev.ph, ev.cat, ev.name, ev.ts_us);
-    const bool to_trace = trace_on_.load(std::memory_order_relaxed);
-    const bool to_flight = flight_on_.load(std::memory_order_relaxed);
-    if (!to_trace && !to_flight) return;
+    const bool span = ev.ph == 'B' || ev.ph == 'E';
     std::lock_guard lock(b.m);
-    if (to_trace) b.events.push_back(ev);
-    if (to_flight) {
+    if ((sinks & kProfile) != 0 && span) {
+      const std::uint64_t fl = flops::thread_count();
+      if (ev.ph == 'B') b.profile.begin(ev.cat, ev.name, ev.ts_us, ev.value, fl);
+      else b.profile.end(ev.ts_us, fl);
+    }
+    if ((sinks & kDag) != 0 && (span || ev.kind == Rec::Enqueue || ev.kind == Rec::Mark))
+      b.dag.push_back(ev);
+    if (ev.kind == Rec::Mark) return;  // DAG-only annotation
+    if ((sinks & kFile) != 0) b.events.push_back(ev);
+    if ((sinks & kFlight) != 0) {
       const std::size_t cap = flight_capacity_.load(std::memory_order_relaxed);
       if (b.ring.size() != cap) reset_ring(b, cap);  // thread registered before flight_start
       b.ring[b.ring_next] = ev;
@@ -238,21 +216,32 @@ class Recorder {
   }
 
   /// Pre-stamped append to the trace-file buffer of the calling thread —
-  /// the DAG recorder uses it to inject flow events at assembly time, after
-  /// the fact, on the tracks the flows refer to.
+  /// the DAG uses it to inject flow events at assembly time, after the
+  /// fact, on the tracks the flows refer to.
   void record_raw(const TraceEvent& ev) noexcept {
-    if (!trace_on_.load(std::memory_order_relaxed)) return;
+    if (!sink_on(kFile)) return;
     ThreadBuffer& b = local_buffer();
     std::lock_guard lock(b.m);
     b.events.push_back(ev);
   }
 
-  [[nodiscard]] std::uint32_t current_tid() noexcept { return local_buffer().tid; }
+  void for_each(const std::function<void(ThreadBuffer&)>& fn) {
+    std::lock_guard lock(registry_m_);
+    for (auto& b : buffers_) {
+      std::lock_guard bl(b->m);
+      fn(*b);
+    }
+  }
 
-  void name_thread(const char* name) {
-    ThreadBuffer& b = local_buffer();
-    std::lock_guard lock(b.m);
-    b.thread_name = name;
+  ThreadBuffer& local_buffer() {
+    thread_local std::shared_ptr<ThreadBuffer> buf = [this] {
+      auto b = std::make_shared<ThreadBuffer>();
+      std::lock_guard lock(registry_m_);
+      b->tid = next_tid_++;
+      buffers_.push_back(b);
+      return b;
+    }();
+    return *buf;
   }
 
   [[nodiscard]] double now_us() const noexcept {
@@ -292,33 +281,6 @@ class Recorder {
     }
   }
 
-  ThreadBuffer& local_buffer() {
-    thread_local std::shared_ptr<ThreadBuffer> buf = [this] {
-      auto b = std::make_shared<ThreadBuffer>();
-      std::lock_guard lock(registry_m_);
-      b->tid = next_tid_++;
-      buffers_.push_back(b);
-      return b;
-    }();
-    return *buf;
-  }
-
-  static void append_escaped(std::string& out, const char* s) {
-    for (; *s != '\0'; ++s) {
-      const char c = *s;
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char hex[8];
-        std::snprintf(hex, sizeof hex, "\\u%04x", c);
-        out += hex;
-      } else {
-        out.push_back(c);
-      }
-    }
-  }
-
   bool write_file(const std::string& path, const std::vector<TraceEvent>& events) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
@@ -339,7 +301,7 @@ class Recorder {
       line.clear();
       line += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" + std::to_string(pid) +
               ",\"tid\":" + std::to_string(b->tid) + ",\"args\":{\"name\":\"";
-      append_escaped(line, b->thread_name.c_str());
+      append_escaped(line, b->thread_name);
       line += "\"}}";
       emit(line);
     }
@@ -368,16 +330,14 @@ class Recorder {
         if (ev.ph == 'f') line += ",\"bp\":\"e\"";
       }
       if (ev.ph == 'C') {
-        std::snprintf(num, sizeof num, "%.17g", ev.value);
         line += ",\"args\":{\"value\":";
-        line += num;
+        append_num(line, ev.value, 17);
         line += "}";
       } else if (ev.ph == 'B' && ev.arg_key[0] != '\0') {
-        std::snprintf(num, sizeof num, "%.17g", ev.value);
         line += ",\"args\":{\"";
         append_escaped(line, ev.arg_key);
         line += "\":";
-        line += num;
+        append_num(line, ev.value, 17);
         line += "}";
       }
       line += "}";
@@ -388,8 +348,6 @@ class Recorder {
     return true;
   }
 
-  std::atomic<bool> trace_on_{false};
-  std::atomic<bool> flight_on_{false};
   std::atomic<std::size_t> flight_capacity_{0};
   std::mutex registry_m_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
@@ -410,15 +368,13 @@ class Recorder {
 
 }  // namespace
 
-bool trace_enabled() noexcept { return Recorder::instance().enabled(); }
-
 void trace_start(const std::string& path) { Recorder::instance().start(path); }
 
 std::size_t trace_stop() { return Recorder::instance().stop(); }
 
 void trace_init_from_env() {
   const char* path = std::getenv("FTH_TRACE");
-  if (path != nullptr && path[0] != '\0' && !Recorder::instance().trace_file_active())
+  if (path != nullptr && path[0] != '\0' && !sink_on(kFile))
     trace_start(path);
   const char* flight = std::getenv("FTH_FLIGHT");
   if (flight != nullptr && flight[0] != '\0' && !flight_active()) {
@@ -428,7 +384,11 @@ void trace_init_from_env() {
   dag::init_from_env();  // FTH_DAG rides the same env hook
 }
 
-void set_thread_name(const char* name) { Recorder::instance().name_thread(name); }
+void set_thread_name(const char* name) {
+  ThreadBuffer& b = Recorder::instance().local_buffer();
+  std::lock_guard lock(b.m);
+  b.thread_name = name;
+}
 
 const char* intern_name(std::string_view name) {
   static std::mutex m;
@@ -480,7 +440,7 @@ const char* site_label(const char* kind, const char* file, unsigned line) {
 
 void flight_start(std::size_t capacity) { Recorder::instance().flight_start(capacity); }
 
-bool flight_active() noexcept { return Recorder::instance().flight_active(); }
+bool flight_active() noexcept { return sink_on(kFlight); }
 
 std::string flight_dump(const char* reason) noexcept {
   return Recorder::instance().flight_dump(reason, /*best_effort=*/false);
@@ -496,21 +456,11 @@ namespace detail {
 
 double now_us() noexcept { return Recorder::instance().now_us(); }
 
-void begin_span(const char* cat, const char* name) noexcept {
-  Recorder::instance().record(TraceEvent{.cat = cat, .name = name, .ph = 'B'});
+void record(TraceEvent ev) noexcept { Recorder::instance().record(ev); }
+
+void for_each_buffer(const std::function<void(ThreadBuffer&)>& fn) {
+  Recorder::instance().for_each(fn);
 }
-
-void begin_span(const char* cat, const char* name, const char* arg_key,
-                double arg_value) noexcept {
-  Recorder::instance().record(
-      TraceEvent{.value = arg_value, .cat = cat, .name = name, .arg_key = arg_key, .ph = 'B'});
-}
-
-void end_span() noexcept { Recorder::instance().record(TraceEvent{.ph = 'E'}); }
-
-std::uint32_t current_tid() noexcept { return Recorder::instance().current_tid(); }
-
-bool trace_file_active() noexcept { return Recorder::instance().trace_file_active(); }
 
 void raw_event(char ph, const char* cat, const char* name, double ts_us, std::uint32_t tid,
                double value) noexcept {
@@ -518,16 +468,53 @@ void raw_event(char ph, const char* cat, const char* name, double ts_us, std::ui
       TraceEvent{.ts_us = ts_us, .value = value, .cat = cat, .name = name, .tid = tid, .ph = ph});
 }
 
+void begin_span(const char* cat, const char* name) noexcept {
+  record(TraceEvent{.cat = cat, .name = name, .ph = 'B'});
+}
+
+void begin_span(const char* cat, const char* name, const char* arg_key,
+                double arg_value) noexcept {
+  record(TraceEvent{.value = arg_value, .cat = cat, .name = name, .arg_key = arg_key, .ph = 'B'});
+}
+
+void end_span() noexcept { record(TraceEvent{.ph = 'E'}); }
+
+void begin_task(const char* label, std::uint64_t stream, std::uint64_t ticket) noexcept {
+  record(TraceEvent{.cat = "stream", .name = label, .stream = stream, .ticket = ticket,
+                    .ph = 'B', .kind = Rec::Task});
+}
+
+void begin_wait(const char* kind, const std::source_location& loc, std::uint64_t stream,
+                std::uint64_t ticket) noexcept {
+  record(TraceEvent{.cat = "stream",
+                    .name = site_label(kind, loc.file_name(), static_cast<unsigned>(loc.line())),
+                    .stream = stream, .ticket = ticket, .ph = 'B', .kind = Rec::Wait});
+}
+
+void enqueue(std::uint64_t stream, std::uint64_t ticket, const char* label,
+             double depth) noexcept {
+  if (!trace_enabled()) return;
+  record(TraceEvent{.value = depth, .cat = "counter", .name = "stream.queue_depth",
+                    .arg_key = label, .stream = stream, .ticket = ticket, .ph = 'C',
+                    .kind = Rec::Enqueue});
+}
+
+void set_device_ordinal(int ordinal) {
+  ThreadBuffer& b = Recorder::instance().local_buffer();
+  std::lock_guard lock(b.m);
+  b.device_ordinal = ordinal;
+}
+
 }  // namespace detail
 
 void instant(const char* cat, const char* name) noexcept {
   if (!trace_enabled()) return;
-  Recorder::instance().record(TraceEvent{.cat = cat, .name = name, .ph = 'i'});
+  detail::record(TraceEvent{.cat = cat, .name = name, .ph = 'i'});
 }
 
 void counter(const char* name, double value) noexcept {
   if (!trace_enabled()) return;
-  Recorder::instance().record(TraceEvent{.value = value, .cat = "counter", .name = name, .ph = 'C'});
+  detail::record(TraceEvent{.value = value, .cat = "counter", .name = name, .ph = 'C'});
 }
 
 }  // namespace fth::obs

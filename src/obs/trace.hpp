@@ -1,22 +1,24 @@
-// fth::obs tracing — Chrome/Perfetto `trace_event` JSON recorder, with a
-// bounded flight-recorder mode and a live feed into the profiler.
+// fth::obs tracing — the one event recorder behind the Chrome/Perfetto
+// `trace_event` JSON file, the flight recorder, the profiler and the DAG.
 //
-// Scoped spans (B/E pairs), instant events, and counter tracks, recorded
-// into per-thread buffers and written as a single JSON file the Perfetto UI
-// (https://ui.perfetto.dev) or chrome://tracing opens directly. Designed so
-// the disabled path costs one relaxed atomic load per call site: spans and
-// events check `trace_enabled()` and bail before touching any state.
+// Scoped spans (B/E pairs), instant events, counter tracks, and the
+// hybrid runtime's task / wait / enqueue records all go through one
+// per-thread buffer (obs/recorder.hpp). Designed so the disabled path costs
+// one relaxed atomic load per call site: spans and events check
+// `trace_enabled()` and bail before touching any state.
 //
-// Three sinks share the same instrumentation points; any combination can be
-// active, and `trace_enabled()` is true while at least one is:
+// Four sinks read that buffer; any combination can be active, and
+// `trace_enabled()` is true while at least one is:
 //  * trace file — unbounded buffers, written at trace_stop() / process exit
-//    (`FTH_TRACE=<path>` or trace_start());
+//    (`FTH_TRACE=<path>` or trace_start()), opened directly by the Perfetto
+//    UI (https://ui.perfetto.dev) or chrome://tracing;
 //  * flight recorder — a bounded per-thread ring that keeps only the last
 //    `capacity` events, cheap enough to leave on for whole fault campaigns
 //    (`FTH_FLIGHT=<n_events>` or flight_start()). It is auto-dumped to a
 //    trace file when recovery escalates to abort (recovery_error) or on a
 //    fatal signal, so post-mortems carry the last milliseconds of timeline;
-//  * profiler — per-phase aggregation, see obs/profile.hpp.
+//  * profiler — per-phase aggregation, see obs/profile.hpp;
+//  * DAG — execution-graph assembly, see obs/dag.hpp.
 //
 // Event names and categories must be string literals or pointers obtained
 // from intern_name() — the recorder stores the pointers, never copies,
@@ -24,15 +26,24 @@
 // documents the event taxonomy and track layout used across the library.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <source_location>
 #include <string>
 #include <string_view>
 
 namespace fth::obs {
 
-/// True while any sink (trace file, flight recorder, profiler) is active.
-/// Relaxed load — safe to call from any thread at any frequency.
-[[nodiscard]] bool trace_enabled() noexcept;
+namespace detail {
+/// Bit set of the armed sinks (obs/recorder.hpp names the bits).
+extern std::atomic<unsigned> g_sinks;
+}  // namespace detail
+
+/// True while any sink (trace file, flight recorder, profiler, DAG) is
+/// active. One relaxed load — safe to call from any thread at any frequency.
+[[nodiscard]] inline bool trace_enabled() noexcept {
+  return detail::g_sinks.load(std::memory_order_relaxed) != 0;
+}
 
 /// Start recording; events accumulate in memory until trace_stop(), which
 /// writes `path`. Calling trace_start() while active just replaces the
@@ -64,7 +75,7 @@ void set_thread_name(const char* name);
 
 /// Interned `"<kind>@<basename(file)>:<line>"` call-site label — the per-site
 /// span names Stream::synchronize / Event::wait record so the profiler and
-/// the DAG recorder can attribute waits to source locations. Cached per
+/// the DAG can attribute waits to source locations. Cached per
 /// (kind, file, line), so repeat calls from the same site are a map hit.
 [[nodiscard]] const char* site_label(const char* kind, const char* file, unsigned line);
 
@@ -110,20 +121,21 @@ void begin_span(const char* cat, const char* name) noexcept;
 void begin_span(const char* cat, const char* name, const char* arg_key,
                 double arg_value) noexcept;
 void end_span() noexcept;
-/// The calling thread's trace track id (registers the thread's buffer on
-/// first use). The DAG recorder tags its buffers with this so its nodes —
-/// and the flow events it emits — land on the same Perfetto tracks as the
-/// spans.
-[[nodiscard]] std::uint32_t current_tid() noexcept;
-/// True while a trace file is being recorded (the flight recorder and the
-/// profiler do not count). Used by dag::stop() to decide whether emitting
-/// flow events has anywhere to go.
-[[nodiscard]] bool trace_file_active() noexcept;
-/// Append a pre-stamped event (no re-timestamping) to the trace file
-/// buffers; no-op unless a trace file is active. `ph` 's'/'f' are
-/// Chrome-trace flow events: `value` carries the flow id.
-void raw_event(char ph, const char* cat, const char* name, double ts_us, std::uint32_t tid,
-               double value) noexcept;
+
+// Runtime hooks: one record per hybrid-runtime site, feeding every sink.
+// `stream` is the stream's process-unique obs id (hybrid::Stream::obs_id).
+void begin_task(const char* label, std::uint64_t stream, std::uint64_t ticket) noexcept;
+/// `kind` is "synchronize" or "event_wait"; the span is named after the
+/// interned call site; `ticket` is the newest ticket the wait can observe.
+void begin_wait(const char* kind, const std::source_location& loc, std::uint64_t stream,
+                std::uint64_t ticket) noexcept;
+/// The "stream.queue_depth" counter sample an enqueue takes, tagged with
+/// the enqueued task so the DAG can build its node.
+void enqueue(std::uint64_t stream, std::uint64_t ticket, const char* label,
+             double depth) noexcept;
+/// Device workers report their pool ordinal once at thread start, so live
+/// profiles can key occupancy by ordinal instead of only by track.
+void set_device_ordinal(int ordinal);
 }  // namespace detail
 
 /// RAII scoped span: emits a `ph:"B"` event at construction and the
@@ -145,8 +157,30 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
- private:
+ protected:
+  explicit TraceSpan(bool armed) noexcept : armed_(armed) {}
   bool armed_;
+};
+
+/// Scoped record of one stream task on its worker thread: the
+/// `stream/<label>` span, tagged with (stream, ticket).
+class TaskSpan : public TraceSpan {
+ public:
+  TaskSpan(const char* label, std::uint64_t stream, std::uint64_t ticket) noexcept
+      : TraceSpan(trace_enabled()) {
+    if (armed_) detail::begin_task(label, stream, ticket);
+  }
+};
+
+/// Scoped record of one blocking wait (see detail::begin_wait): the
+/// `stream/<kind>@<file>:<line>` span, tagged with (stream, ticket).
+class WaitSpan : public TraceSpan {
+ public:
+  WaitSpan(const char* kind, const std::source_location& loc, std::uint64_t stream,
+           std::uint64_t ticket) noexcept
+      : TraceSpan(trace_enabled()) {
+    if (armed_) detail::begin_wait(kind, loc, stream, ticket);
+  }
 };
 
 /// Thread-scoped instant event (`ph:"i"`, scope "t").

@@ -18,6 +18,7 @@
 #include "ft/ft_gehrd.hpp"
 #include "la/generate.hpp"
 #include "obs/trace.hpp"
+#include "test_utils.hpp"
 
 namespace fth {
 namespace {
@@ -130,6 +131,7 @@ TEST(Flight, CapacityIsClampedToMinimum) {
 }
 
 TEST(Flight, DumpWithoutArmedRingIsEmpty) {
+  const test::PauseEnvFlight paused;
   ASSERT_FALSE(obs::flight_active());
   EXPECT_EQ(obs::flight_dump("nothing-armed"), "");
 }

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include "common/json.hpp"
@@ -76,6 +77,26 @@ TEST(Incident, RenderedCapsuleParsesAndValidates) {
   EXPECT_EQ(capsule.at("health").as_array().size(), 1u);
   EXPECT_EQ(capsule.at("health").as_array()[0].at("state").as_string(), "lost");
   EXPECT_EQ(capsule.at("strikes").at("losses").as_array().size(), 1u);
+}
+
+// A panel-tripwire detection journals a NaN gap; JSON has no NaN or Inf, so
+// non-finite values must render as null rather than as invalid literals.
+TEST(Incident, NonFiniteJournalValuesStayValidJson) {
+  IncidentReport rep = sample_report();
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    JournalEvent e = rep.journal[1];
+    e.value = v;
+    json::Value record;
+    ASSERT_NO_THROW(record = json::parse(journal_event_json(e))) << v;
+    EXPECT_TRUE(record.at("value").is_null()) << v;
+    rep.journal.push_back(e);
+  }
+  json::Value capsule;
+  ASSERT_NO_THROW(capsule = json::parse(render_incident_json(rep)));
+  EXPECT_EQ(incident_validate(capsule), "");
+  EXPECT_EQ(capsule.at("journal").as_array().size(), 6u);
 }
 
 TEST(Incident, ValidateRejectsMalformedCapsules) {

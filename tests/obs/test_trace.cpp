@@ -2,10 +2,13 @@
 //
 // Parses the emitted file with a minimal JSON reader (no third-party
 // dependency) and validates event structure (ph/ts/pid/tid), begin/end
-// nesting per thread track, thread_name metadata, and that one traced FT
-// run produces spans from all three layers (ft / hybrid / stream+device).
+// nesting per thread track, thread_name metadata, that one traced FT run
+// produces spans from all three layers (ft / hybrid / stream+device), and
+// that the recorder's sinks (trace file, flight ring, profile, DAG) agree
+// on the tasks and waits of one run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -13,13 +16,17 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "fault/injector.hpp"
 #include "ft/ft_gehrd.hpp"
 #include "la/generate.hpp"
+#include "obs/dag.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
+#include "test_utils.hpp"
 
 namespace fth {
 namespace {
@@ -294,6 +301,7 @@ TEST(Trace, DisabledPathIsInert) {
   if (std::getenv("FTH_TRACE") != nullptr) {
     GTEST_SKIP() << "FTH_TRACE set: process-wide tracing active";
   }
+  const test::PauseEnvFlight paused;
   EXPECT_FALSE(obs::trace_enabled());
   // All recording entry points must be no-ops when disabled.
   {
@@ -383,6 +391,75 @@ TEST(Trace, FtRunCoversAllThreeLayers) {
   }
   EXPECT_EQ(sum.thread_names.count("device-stream"), 1u);
   EXPECT_GE(sum.tids.size(), 2u) << "device-stream work must be on its own track";
+}
+
+// ---- one recorder, four sinks ---------------------------------------------------
+
+bool is_wait_name(std::string_view name) {
+  return name.starts_with("synchronize") || name.starts_with("event_wait");
+}
+
+TEST(Trace, EverySinkSeesTheSameTasksAndWaits) {
+  const index_t n = 128, nb = 32;
+  Matrix<double> a = random_matrix(n, n, 2016);
+  std::vector<double> tau(static_cast<std::size_t>(n - 1));
+  fault::FaultSpec spec;
+  spec.kind = fault::FaultKind::AddDelta;
+  spec.boundary = 1;
+  fault::Injector inj(spec, 5);
+  ft::FtReport rep;
+
+  const std::string path = ::testing::TempDir() + "fth_trace_every_sink.json";
+  const bool flight_was_on = obs::flight_active();  // FTH_FLIGHT may have armed it
+  obs::trace_start(path);
+  if (!flight_was_on) obs::flight_start(4096);
+  obs::profile_start();
+  obs::dag::start();
+  {
+    hybrid::Device dev;
+    ft::ft_gehrd(dev, a.view(), VectorView<double>(tau.data(), n - 1), {.nb = nb}, &inj, &rep);
+  }  // the device's destructor joins its stream worker: every task has run
+  const obs::dag::Graph g = obs::dag::stop();
+  const obs::ProfileReport prof = obs::profile_stop();
+  obs::trace_stop();
+  EXPECT_NE(obs::flight_tail_json(16), "[]");
+  if (!flight_was_on) obs::flight_stop();
+  ASSERT_EQ(rep.detections, 1);
+
+  // Trace file: stream-category spans, tasks on the device-stream track and
+  // waits on every other track.
+  Json root;
+  ASSERT_NO_THROW(root = parse_file(path));
+  std::set<double> device_tids;
+  for (const Json& ev : root.at("traceEvents").arr)
+    if (ev.at("ph").str == "M" && ev.at("args").at("name").str == "device-stream")
+      device_tids.insert(ev.at("tid").number);
+  std::size_t trace_tasks = 0, trace_waits = 0;
+  for (const Json& ev : root.at("traceEvents").arr) {
+    if (ev.at("ph").str != "B" || ev.at("cat").str != "stream") continue;
+    const bool on_device = device_tids.count(ev.at("tid").number) > 0;
+    if (!is_wait_name(ev.at("name").str)) trace_tasks += on_device ? 1 : 0;
+    else if (!on_device) ++trace_waits;
+  }
+  std::uint64_t prof_tasks = 0, prof_waits = 0;
+  for (const obs::ProfilePhase& p : prof.phases) {
+    if (p.cat != "stream") continue;
+    if (p.track == "device" && !is_wait_name(p.name)) prof_tasks += p.calls;
+    if (p.track == "host" && is_wait_name(p.name)) prof_waits += p.calls;
+  }
+
+  EXPECT_GT(trace_tasks, 0u);
+  EXPECT_EQ(g.count(obs::dag::NodeKind::Task), trace_tasks);
+  EXPECT_EQ(prof_tasks, trace_tasks);
+  EXPECT_GT(trace_waits, 0u);
+  EXPECT_EQ(g.count(obs::dag::NodeKind::Wait), trace_waits)
+      << "a synchronize that finds its stream drained is a wait in every sink";
+  EXPECT_EQ(prof_waits, trace_waits);
+  std::vector<std::string> marks;
+  for (const obs::dag::Node& nd : g.nodes)
+    if (nd.kind == obs::dag::NodeKind::Mark) marks.push_back(nd.label);
+  EXPECT_NE(std::find(marks.begin(), marks.end(), "ft.rollback"), marks.end());
+  EXPECT_NE(std::find(marks.begin(), marks.end(), "ft.reexec"), marks.end());
 }
 
 }  // namespace

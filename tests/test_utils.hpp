@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <vector>
 
 #include "la/matrix.hpp"
+#include "obs/trace.hpp"
 
 namespace fth::test {
 
@@ -58,5 +60,21 @@ inline void expect_matrix_near(MatrixView<const double> a, MatrixView<const doub
     for (index_t i = 0; i < a.rows(); ++i)
       ASSERT_NEAR(a(i, j), b(i, j), tol) << what << " at (" << i << "," << j << ")";
 }
+
+/// Stops the flight ring that `FTH_FLIGHT` armed for the whole process (CI
+/// runs the suite that way) for the lifetime of the guard, then re-arms it
+/// with the environment's capacity — so a test can assert on the state with
+/// every sink off, and the tests after it still record.
+class PauseEnvFlight {
+ public:
+  PauseEnvFlight() { obs::flight_stop(); }
+  ~PauseEnvFlight() {
+    const char* env = std::getenv("FTH_FLIGHT");
+    const long n = env != nullptr ? std::strtol(env, nullptr, 10) : 0;
+    if (n > 0) obs::flight_start(static_cast<std::size_t>(n));
+  }
+  PauseEnvFlight(const PauseEnvFlight&) = delete;
+  PauseEnvFlight& operator=(const PauseEnvFlight&) = delete;
+};
 
 }  // namespace fth::test
