@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/types.hpp"
+#include "la/norms.hpp"
 
 namespace fth::ft {
 
@@ -108,6 +109,16 @@ double default_threshold(double fro_norm, index_t n, double factor) {
   const double eps = std::numeric_limits<double>::epsilon();
   return factor * eps * static_cast<double>(std::max<index_t>(n, 1)) *
          std::max(fro_norm, 1.0);
+}
+
+double resolve_threshold(MatrixView<const double> a, double threshold, double factor) {
+  return threshold > 0 ? threshold : default_threshold(norm_fro(a), a.rows(), factor);
+}
+
+double resolve_row_threshold(MatrixView<const double> a, double threshold, double factor) {
+  if (threshold > 0) return threshold;
+  return default_threshold(norm_fro(a), a.rows(), factor) /
+         static_cast<double>(std::max<index_t>(a.rows(), 1)) * 50.0;
 }
 
 }  // namespace fth::ft

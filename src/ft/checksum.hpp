@@ -51,4 +51,14 @@ double detection_gap(MatrixView<const double> ext);
 /// the data scale; the n factor absorbs the growth of the grand sums.
 double default_threshold(double fro_norm, index_t n, double factor = 500.0);
 
+/// The threshold in force for a grand-total detector (ft_gehrd, and
+/// pool_gehrd's per-shard code row): `threshold` as given when positive,
+/// else default_threshold(‖A‖_F, n, factor).
+double resolve_threshold(MatrixView<const double> a, double threshold, double factor);
+
+/// The threshold in force for a per-row detector (ft_sytrd, ft_gebrd):
+/// `threshold` as given when positive, else default_threshold with its n
+/// factor divided back out, times a ×50 margin.
+double resolve_row_threshold(MatrixView<const double> a, double threshold, double factor);
+
 }  // namespace fth::ft

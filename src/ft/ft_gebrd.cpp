@@ -15,7 +15,6 @@
 #include "ft/q_protect.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "la/blas1.hpp"
-#include "la/norms.hpp"
 #include "obs/trace.hpp"
 #include "lapack/gebrd.hpp"
 #include "lapack/gebrd_impl.hpp"
@@ -27,12 +26,6 @@ namespace {
 using hybrid::copy_d2h;
 using hybrid::copy_d2h_async;
 using hybrid::copy_h2d_async;
-
-double gebrd_threshold(MatrixView<const double> a, const FtGebrdOptions& opt) {
-  return opt.threshold > 0 ? opt.threshold
-                           : 50.0 * default_threshold(norm_fro(a), a.rows(), opt.threshold_factor) /
-                                 static_cast<double>(std::max<index_t>(a.rows(), 1));
-}
 
 class FtGebrdDriver final : public Code {
  public:
@@ -50,7 +43,7 @@ class FtGebrdDriver final : public Code {
         inj_(inj),
         st_(st),
         n_(a.rows()),
-        threshold_(gebrd_threshold(a, opt)),
+        threshold_(resolve_row_threshold(a, opt.threshold, opt.threshold_factor)),
         plane_(opt.fault_plane),
         d_a_(dev, n_, n_, "gebrd.ft.d_a"),
         d_v2_(dev, n_, std::max<index_t>(opt.nb, 1), "gebrd.ft.d_v2"),

@@ -16,7 +16,6 @@
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
 #include "la/blas3.hpp"
-#include "la/norms.hpp"
 #include "obs/trace.hpp"
 #include "lapack/lahr2_impl.hpp"
 #include "lapack/orghr.hpp"
@@ -30,11 +29,6 @@ using hybrid::copy_d2h;
 using hybrid::copy_d2h_async;
 using hybrid::copy_h2d;
 using hybrid::copy_h2d_async;
-
-double gehrd_threshold(MatrixView<const double> a, const FtOptions& opt) {
-  return opt.threshold > 0 ? opt.threshold
-                           : default_threshold(norm_fro(a), a.rows(), opt.threshold_factor);
-}
 
 /// All state of one fault-tolerant reduction (Algorithm 3).
 class FtDriver final : public Code {
@@ -64,7 +58,8 @@ class FtDriver final : public Code {
         new_chkrow_(1, std::max<index_t>(opt.nb, 1)),
         ext_scratch_(n_ + 1, n_ + 1),
         qp_(n_),
-        proto_("ft_gehrd", dev, *this, rep, a, opt, gehrd_threshold(a, opt)) {
+        proto_("ft_gehrd", dev, *this, rep, a, opt,
+               resolve_threshold(a, opt.threshold, opt.threshold_factor)) {
     loc_tol_ = opt.locate_tol > 0 ? opt.locate_tol : proto_.threshold();
   }
 
@@ -294,13 +289,7 @@ class FtDriver final : public Code {
       // staging buffer may die at the end of this scope with no transfer
       // still reading it.
       y_upper_ready.wait();
-      blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
-                 MatrixView<const double>(a_.block(i + 1, i, ib - 1, ib - 1)),
-                 y_host_.block(0, 0, i + 1, ib - 1));
-      for (index_t j = 0; j + 1 < ib; ++j) {
-        blas::axpy(-1.0, VectorView<const double>(y_host_.block(0, j, i + 1, 1).col(0)),
-                   a_.block(0, i + 1 + j, i + 1, 1).col(0));
-      }
+      lapack::detail::fix_panel_top_rows(a_, y_host_.view(), i, ib);
 
       // The panel columns transition from "trailing data" (checksummed over
       // the full height) to "finished H columns" (checksummed over rows

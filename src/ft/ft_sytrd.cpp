@@ -15,7 +15,6 @@
 #include "hybrid/dev_blas.hpp"
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
-#include "la/norms.hpp"
 #include "obs/trace.hpp"
 #include "lapack/orghr.hpp"
 #include "lapack/sytrd_impl.hpp"
@@ -27,17 +26,6 @@ namespace {
 using hybrid::copy_d2h;
 using hybrid::copy_d2h_async;
 using hybrid::copy_h2d_async;
-
-double sytrd_threshold(MatrixView<const double> a, const FtSytrdOptions& opt) {
-  // Per-row tolerance: the gehrd default bounds a grand total over n rows;
-  // divide the n factor back out but keep a comfortable margin (which an
-  // explicit threshold gets too).
-  const double t = opt.threshold > 0
-                       ? opt.threshold
-                       : default_threshold(norm_fro(a), a.rows(), opt.threshold_factor) /
-                             static_cast<double>(std::max<index_t>(a.rows(), 1));
-  return t * 50.0;
-}
 
 class FtSytrdDriver final : public Code {
  public:
@@ -53,7 +41,7 @@ class FtSytrdDriver final : public Code {
         inj_(inj),
         st_(st),
         n_(a.rows()),
-        threshold_(sytrd_threshold(a, opt)),
+        threshold_(resolve_row_threshold(a, opt.threshold, opt.threshold_factor)),
         plane_(opt.fault_plane),
         d_a_(dev, n_, n_, "sytrd.ft.d_a"),
         d_v_(dev, n_, std::max<index_t>(opt.nb, 1), "sytrd.ft.d_v"),

@@ -31,7 +31,6 @@
 #include "ft/pool_gehrd.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -43,14 +42,10 @@
 #include "ft/checksum.hpp"
 #include "ft/shard_code.hpp"
 #include "hybrid/dev_blas.hpp"
-#include "la/blas1.hpp"
 #include "la/blas3.hpp"
-#include "la/norms.hpp"
 #include "lapack/gehrd.hpp"
 #include "lapack/lahr2_impl.hpp"
 #include "lapack/orghr.hpp"
-#include "lapack/reflectors.hpp"
-#include "obs/dag.hpp"
 #include "obs/incident.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -66,6 +61,49 @@ struct device_lost {
   int device = 0;
   const char* cause = "timeout";
 };
+
+/// One member's device workspaces. Every member gets the full set so a
+/// shard can be remapped onto the parity device without reallocation.
+struct Member {
+  Member(hybrid::Device& dv, index_t n, index_t w_max, index_t nb)
+      : e(dv, n + 1, w_max, "pool.d_e"),
+        vg(dv, w_max, 1, "pool.d_vg"),
+        py(dv, n, 1, "pool.d_py"),
+        ve(dv, n, nb, "pool.d_ve"),
+        t(dv, nb, nb, "pool.d_t"),
+        yce(dv, n + 1, nb, "pool.d_yce"),
+        g(dv, w_max, nb, "pool.d_g"),
+        w(dv, nb, w_max, "pool.d_w") {}
+
+  hybrid::DeviceMatrix<double> e;    ///< the coded shard this member holds
+  hybrid::DeviceMatrix<double> vg;   ///< gathered reflector of the panel GEMV
+  hybrid::DeviceMatrix<double> py;   ///< panel GEMV partial product
+  hybrid::DeviceMatrix<double> ve;   ///< [V; colsum(V)]
+  hybrid::DeviceMatrix<double> t;    ///< T of the block reflector
+  hybrid::DeviceMatrix<double> yce;  ///< [Y; colsum(Y)], or the Y-top partial
+  hybrid::DeviceMatrix<double> g;    ///< Y-top or right-update generators
+  hybrid::DeviceMatrix<double> w;    ///< left-update workspace
+};
+
+/// Element `i` of a per-ordinal or per-slot vector.
+template <class V>
+auto& at(V& v, int i) {
+  return v[static_cast<std::size_t>(i)];
+}
+
+/// out = [src; colsum(src)]: `src` with its column sums appended as one
+/// more row — an update operand extended by the code row's share (the
+/// shape of ft_gehrd's Vce/Yce).
+void with_code_row(MatrixView<const double> src, MatrixView<double> out) {
+  for (index_t q = 0; q < src.cols(); ++q) {
+    double cs = 0.0;
+    for (index_t r = 0; r < src.rows(); ++r) {
+      out(r, q) = src(r, q);
+      cs += src(r, q);
+    }
+    out(src.rows(), q) = cs;
+  }
+}
 
 class PoolDriver {
  public:
@@ -88,15 +126,13 @@ class PoolDriver {
     FTH_CHECK(nb_ >= 1, "pool_gehrd: block size must be positive");
     FTH_CHECK(D_ >= 1, "pool_gehrd: empty pool");
 
-    threshold_ = opt.threshold > 0.0
-                     ? opt.threshold
-                     : default_threshold(norm_fro(MatrixView<const double>(a_)), n_,
-                                         opt.threshold_factor);
+    threshold_ =
+        resolve_threshold(MatrixView<const double>(a_), opt.threshold, opt.threshold_factor);
     rep_.devices = D_;
     rep_.data_shards = Ddata_;
     parity_dev_ = D_ >= 2 ? D_ - 1 : -1;
     slot_dev_.resize(static_cast<std::size_t>(Ddata_));
-    for (int s = 0; s < Ddata_; ++s) slot_dev_[static_cast<std::size_t>(s)] = s;
+    for (int s = 0; s < Ddata_; ++s) at(slot_dev_, s) = s;
     gaps_.assign(static_cast<std::size_t>(D_), std::numeric_limits<double>::quiet_NaN());
 
     // Health plane: every host wait on a member goes through the monitor,
@@ -107,7 +143,6 @@ class PoolDriver {
     } else {
       obs::HealthConfig hc;
       hc.base_timeout_ms = obs::HealthMonitor::env_base_timeout_ms(opt.timeout_ms);
-      hc.adaptive = opt.adaptive_timeout;
       health_owned_ = std::make_unique<obs::HealthMonitor>(D_, hc);
       health_ = health_owned_.get();
     }
@@ -174,39 +209,26 @@ class PoolDriver {
         handle_loss(dl, i);
       }
     }
-    host_finish(i);
+    {
+      obs::TraceSpan span("ft", "pool.finish", "col", static_cast<double>(i));
+      lapack::detail::gehd2_from(a_, tau_, i);
+    }
     finish_outcome();
   }
 
  private:
+  // Members are defined callee before caller: fth_analyze builds function
+  // summaries in definition order, so only a call to an earlier member is
+  // spliced into its caller's summary (DESIGN.md §11.3, §13.3).
+
   // --- setup -----------------------------------------------------------
 
   void allocate_workspaces() {
     const index_t w = lay_.w_max;
-    d_e_.reserve(static_cast<std::size_t>(D_));
-    d_vg_.reserve(static_cast<std::size_t>(D_));
-    d_py_.reserve(static_cast<std::size_t>(D_));
-    d_ve_.reserve(static_cast<std::size_t>(D_));
-    d_t_.reserve(static_cast<std::size_t>(D_));
-    d_yce_.reserve(static_cast<std::size_t>(D_));
-    d_g_.reserve(static_cast<std::size_t>(D_));
-    d_w_.reserve(static_cast<std::size_t>(D_));
-    for (int d = 0; d < D_; ++d) {
-      // Every member gets the full workspace set so a shard can be
-      // remapped onto the parity device without reallocation.
-      hybrid::Device& dv = pool_.device(d);
-      d_e_.emplace_back(dv, n_ + 1, w, "pool.d_e");
-      d_vg_.emplace_back(dv, w, 1, "pool.d_vg");
-      d_py_.emplace_back(dv, n_, 1, "pool.d_py");
-      d_ve_.emplace_back(dv, n_, nb_, "pool.d_ve");
-      d_t_.emplace_back(dv, nb_, nb_, "pool.d_t");
-      d_yce_.emplace_back(dv, n_ + 1, nb_, "pool.d_yce");
-      d_g_.emplace_back(dv, w, nb_, "pool.d_g");
-      d_w_.emplace_back(dv, nb_, w, "pool.d_w");
-    }
+    mem_.reserve(static_cast<std::size_t>(D_));
+    for (int d = 0; d < D_; ++d) mem_.emplace_back(pool_.device(d), n_, w, nb_);
     host_sh_.resize(static_cast<std::size_t>(Ddata_));
-    for (int s = 0; s < Ddata_; ++s)
-      host_sh_[static_cast<std::size_t>(s)] = Matrix<double>(n_ + 1, w);
+    for (int s = 0; s < Ddata_; ++s) at(host_sh_, s) = Matrix<double>(n_ + 1, w);
     parity_host_ = Matrix<double>(n_ + 1, w);
     t_host_ = Matrix<double>(nb_, nb_);
     y_host_ = Matrix<double>(n_, nb_);
@@ -216,10 +238,9 @@ class PoolDriver {
     stage_g_ = Matrix<double>(n_, static_cast<index_t>(Ddata_) * nb_);
     ckpt_ = Matrix<double>(n_, nb_);
     g_host_.resize(static_cast<std::size_t>(D_));
-    for (int d = 0; d < D_; ++d) g_host_[static_cast<std::size_t>(d)] = Matrix<double>(w, nb_);
+    for (int d = 0; d < D_; ++d) at(g_host_, d) = Matrix<double>(w, nb_);
     vg_host_.resize(static_cast<std::size_t>(Ddata_));
-    for (int s = 0; s < Ddata_; ++s)
-      vg_host_[static_cast<std::size_t>(s)] = Matrix<double>(w, 1);
+    for (int s = 0; s < Ddata_; ++s) at(vg_host_, s) = Matrix<double>(w, 1);
   }
 
   void upload_and_encode() {
@@ -227,25 +248,94 @@ class PoolDriver {
     if (plane_ != nullptr) plane_->bind_pool(pool_);
     scatter_shards(MatrixView<const double>(a_), lay_, host_sh_);
     for (int sl = 0; sl < Ddata_; ++sl) {
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
+      const int dev = at(slot_dev_, sl);
       hybrid::Stream& sd = pool_.stream(dev);
-      hybrid::copy_h2d_async(sd, host_sh_[static_cast<std::size_t>(sl)].cview(),
-                             d_e_[static_cast<std::size_t>(dev)].view());
+      hybrid::copy_h2d_async(sd, at(host_sh_, sl).cview(), mem(dev).e.view());
     }
     if (parity_dev_ >= 0) {
       encode_parity(lay_, host_sh_, parity_host_);
       hybrid::Stream& sd = pool_.stream(parity_dev_);
-      hybrid::copy_h2d_async(sd, parity_host_.cview(),
-                             d_e_[static_cast<std::size_t>(parity_dev_)].view());
+      hybrid::copy_h2d_async(sd, parity_host_.cview(), mem(parity_dev_).e.view());
     }
     for (int d = 0; d < D_; ++d) {
       hybrid::Stream& sd = pool_.stream(d);
       sd.synchronize();
     }
     if (plane_ != nullptr) {
-      for (int d = 0; d < D_; ++d)
-        plane_->register_loss_surface(d, d_e_[static_cast<std::size_t>(d)].view());
+      for (int d = 0; d < D_; ++d) plane_->register_loss_surface(d, mem(d).e.view());
       plane_->mark_encoded();
+    }
+  }
+
+  // --- membership ------------------------------------------------------
+
+  [[nodiscard]] Member& mem(int dev) { return at(mem_, dev); }
+
+  [[nodiscard]] int collector_device() const {
+    return parity_dev_ >= 0 ? parity_dev_ : slot_dev_[0];
+  }
+
+  [[nodiscard]] int active_count() const { return Ddata_ + (parity_dev_ >= 0 ? 1 : 0); }
+
+  [[nodiscard]] int active_device(int member) const {
+    return member < Ddata_ ? at(slot_dev_, member) : parity_dev_;
+  }
+
+  [[nodiscard]] int slot_of_device(int dev) const {
+    for (int sl = 0; sl < Ddata_; ++sl)
+      if (at(slot_dev_, sl) == dev) return sl;
+    return -1;
+  }
+
+  void finish_outcome() {
+    rep_.outcome.status =
+        rep_.losses > 0 ? RecoveryStatus::Recovered : RecoveryStatus::Clean;
+    rep_.outcome.reason = AbortReason::None;
+    rep_.outcome.attempts = rep_.losses;
+    rep_.outcome.threshold = threshold_;
+    rep_.health = health_->snapshot();
+    obs::journal_log(obs::JournalSeverity::Info, "pool", "finished", -1,
+                     static_cast<double>(rep_.losses));
+  }
+
+  // --- waiting on a member ---------------------------------------------
+
+  /// The one host wait on a pool member: `ev` within the health monitor's
+  /// allowance, always an Event::wait_for so a lost member cannot hang the
+  /// host. Returns whether the member answered in time. A killed stream's
+  /// markers complete at once, so a true answer says nothing about
+  /// liveness; alive() adds that.
+  bool answered(int dev, const hybrid::Event& ev) {
+    const double w0 = health_->wait_begin();
+    const bool ok = ev.wait_for(health_->allowed(dev));
+    return health_->wait_end(dev, w0, ok);
+  }
+
+  /// Record a marker on `dev`'s stream and wait for it: true when the
+  /// member answered in time and is not quarantined.
+  bool alive(int dev) {
+    hybrid::Stream& sd = pool_.stream(dev);
+    const hybrid::Event ev = sd.record();
+    return answered(dev, ev) && !pool_.lost(dev);
+  }
+
+  /// The throwing form: a member that is not alive is lost.
+  void await_member(int dev) {
+    if (!alive(dev)) throw device_lost{dev};
+  }
+
+  // --- host-side assembly ------------------------------------------------
+
+  /// The one slot → local → global gather of V rows: out(l − l0, q) =
+  /// v(c − off, q) for the slot's local columns l ∈ [l0, w_max) whose
+  /// global column c lies in [lo, n), and zero for every other column
+  /// (finished, panel or padding).
+  void gather_v_rows(int slot, index_t l0, index_t lo, index_t off,
+                     MatrixView<const double> v, MatrixView<double> out) const {
+    for (index_t l = l0; l < lay_.w_max; ++l) {
+      const index_t c = lay_.global_of(slot, l);
+      const bool live = c >= lo && c < n_;
+      for (index_t q = 0; q < v.cols(); ++q) out(l - l0, q) = live ? v(c - off, q) : 0.0;
     }
   }
 
@@ -259,27 +349,45 @@ class PoolDriver {
     copy(MatrixView<const double>(ckpt_.block(0, 0, n_, ib)), a_.block(0, i, n_, ib));
   }
 
+  /// Boundary health check: every active member recomputes its code-row
+  /// gap on-device; the host collects with timeouts. Detects all three
+  /// loss kinds: timeout (stall), killed stream or NaN sentinel (hard
+  /// death — the marker completes but the verify task was discarded), and
+  /// gap over threshold (poison).
+  void verify_members() {
+    for (int m = 0; m < active_count(); ++m) {
+      const int dev = active_device(m);
+      at(gaps_, dev) = std::numeric_limits<double>::quiet_NaN();
+      double* gp = &at(gaps_, dev);
+      hybrid::Stream& sd = pool_.stream(dev);
+      Member& dm = mem(dev);
+      // Occupancy sample for the health plane: was the member still
+      // working when the boundary check arrived?
+      health_->sample_occupancy(dev, !sd.idle());
+      sd.enqueue("pool.verify", FTH_TASK_EFFECTS(FTH_READS(dm.e.view())),
+                 [de = DMatrixView<const double>(dm.e.view()), gp] {
+                   *gp = code_row_gap(de.in_task());
+                 });
+    }
+    for (int m = 0; m < active_count(); ++m) await_member(active_device(m));
+    for (int m = 0; m < active_count(); ++m) {
+      const int dev = active_device(m);
+      if (!(at(gaps_, dev) <= threshold_)) throw device_lost{dev, "poison"};
+    }
+  }
+
   void panel_and_ytop(index_t i, index_t ib) {
     obs::TraceSpan span("ft", "pool.panel", "col", static_cast<double>(i));
     const index_t vrows = n_ - i - 1;
 
     // Bring the panel columns to the host, full height, from their owners.
     for (index_t c = i; c < i + ib; ++c) {
-      const int sl = lay_.slot_of(c);
-      const index_t l = lay_.local_of(c);
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
+      const int dev = at(slot_dev_, lay_.slot_of(c));
       hybrid::Stream& sd = pool_.stream(dev);
-      hybrid::copy_d2h_async(sd, d_e_[static_cast<std::size_t>(dev)].block(0, l, n_, 1),
+      hybrid::copy_d2h_async(sd, mem(dev).e.block(0, lay_.local_of(c), n_, 1),
                              a_.block(0, c, n_, 1));
     }
-    for (int sl = 0; sl < Ddata_; ++sl) {
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event pf = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = pf.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
-    }
+    for (int sl = 0; sl < Ddata_; ++sl) await_member(at(slot_dev_, sl));
 
     // Host panel factorization; the big GEMV is one partial product per
     // data member against its own shard, summed on the host.
@@ -287,36 +395,36 @@ class PoolDriver {
         a_, i, ib, t_host_.view(), y_host_.view(), tau_.sub(i, ib),
         [&](index_t j, VectorView<const double> vj, VectorView<double> y_col) {
           const index_t cj = i + j;
-          build_gathered_vectors(cj, vj);
+          // Per-slot gathered copies of the reflector vector: a slot that
+          // owns nothing in range reads as a zero partial.
           for (int sl = 0; sl < Ddata_; ++sl) {
-            const index_t l0 = first_local(sl, cj + 1);
+            const index_t l0 = lay_.first_local(sl, cj + 1);
+            gather_v_rows(sl, l0, cj + 1, cj + 1,
+                          MatrixView<const double>(vj.data(), vj.size(), 1, vj.size()),
+                          at(vg_host_, sl).view());
+            if (l0 >= lay_.w_max) fill(stage_y_.block(0, sl, n_, 1), 0.0);
+          }
+          for (int sl = 0; sl < Ddata_; ++sl) {
+            const index_t l0 = lay_.first_local(sl, cj + 1);
             const index_t wcols = lay_.w_max - l0;
             if (wcols <= 0) continue;
-            const int dev = slot_dev_[static_cast<std::size_t>(sl)];
+            const int dev = at(slot_dev_, sl);
             hybrid::Stream& sd = pool_.stream(dev);
-            hybrid::copy_h2d_async(sd, vg_host_[static_cast<std::size_t>(sl)].block(0, 0, wcols, 1),
-                                   d_vg_[static_cast<std::size_t>(dev)].block(0, 0, wcols, 1));
-            hybrid::gemv_async(sd, Trans::No, 1.0,
-                               d_e_[static_cast<std::size_t>(dev)].block(i + 1, l0, vrows, wcols),
-                               d_vg_[static_cast<std::size_t>(dev)].block(0, 0, wcols, 1).col(0),
-                               0.0,
-                               d_py_[static_cast<std::size_t>(dev)].block(0, 0, vrows, 1).col(0));
-            hybrid::copy_d2h_async(sd, d_py_[static_cast<std::size_t>(dev)].block(0, 0, vrows, 1),
+            Member& dm = mem(dev);
+            hybrid::copy_h2d_async(sd, at(vg_host_, sl).block(0, 0, wcols, 1),
+                                   dm.vg.block(0, 0, wcols, 1));
+            hybrid::gemv_async(sd, Trans::No, 1.0, dm.e.block(i + 1, l0, vrows, wcols),
+                               dm.vg.block(0, 0, wcols, 1).col(0), 0.0,
+                               dm.py.block(0, 0, vrows, 1).col(0));
+            hybrid::copy_d2h_async(sd, dm.py.block(0, 0, vrows, 1),
                                    stage_y_.block(0, sl, vrows, 1));
           }
-          for (int sl = 0; sl < Ddata_; ++sl) {
-            const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-            hybrid::Stream& sd = pool_.stream(dev);
-            const hybrid::Event pg = sd.record();
-            const double w0 = health_->wait_begin();
-            const bool ok = pg.wait_for(health_->allowed(dev));
-            if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
-          }
+          for (int sl = 0; sl < Ddata_; ++sl) await_member(at(slot_dev_, sl));
           // A non-finite partial names its culprit before it can spread.
           for (int sl = 0; sl < Ddata_; ++sl) {
             for (index_t r = 0; r < vrows; ++r) {
               if (!std::isfinite(stage_y_(r, sl)))
-                throw device_lost{slot_dev_[static_cast<std::size_t>(sl)], "nonfinite"};
+                throw device_lost{at(slot_dev_, sl), "nonfinite"};
             }
           }
           for (index_t r = 0; r < vrows; ++r) {
@@ -328,23 +436,29 @@ class PoolDriver {
 
     // Y top rows, Y(0:i+1,:) = A(0:i+1, i+1:n)·V·T: one partial GEMM per
     // data member, reduced by a collector task on the collector device.
+    // Generator row (l − l1) of a slot is V(c − i − 1, :) for its columns
+    // c ≥ i+1; a slot that owns nothing in range reads as a zero partial.
     Matrix<double> v = lapack::materialize_v(MatrixView<const double>(a_), i, ib);
-    build_ytop_generators(v, i, ib);
+    for (int sl = 0; sl < Ddata_; ++sl) {
+      const index_t l1 = lay_.first_local(sl, i + 1);
+      gather_v_rows(sl, l1, i + 1, i + 1, v.cview(), at(g_host_, at(slot_dev_, sl)).view());
+      if (l1 >= lay_.w_max)
+        fill(stage_g_.block(0, static_cast<index_t>(sl) * nb_, i + 1, ib), 0.0);
+    }
     const int cdev = collector_device();
     hybrid::Stream& sc = pool_.stream(cdev);
     for (int sl = 0; sl < Ddata_; ++sl) {
-      const index_t l1 = first_local(sl, i + 1);
+      const index_t l1 = lay_.first_local(sl, i + 1);
       const index_t wcols = lay_.w_max - l1;
       if (wcols <= 0) continue;
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
+      const int dev = at(slot_dev_, sl);
       hybrid::Stream& sd = pool_.stream(dev);
-      hybrid::copy_h2d_async(sd, g_host_[static_cast<std::size_t>(dev)].block(0, 0, wcols, ib),
-                             d_g_[static_cast<std::size_t>(dev)].block(0, 0, wcols, ib));
-      hybrid::gemm_async(sd, Trans::No, Trans::No, 1.0,
-                         d_e_[static_cast<std::size_t>(dev)].block(0, l1, i + 1, wcols),
-                         d_g_[static_cast<std::size_t>(dev)].block(0, 0, wcols, ib), 0.0,
-                         d_yce_[static_cast<std::size_t>(dev)].block(0, 0, i + 1, ib));
-      hybrid::copy_d2h_async(sd, d_yce_[static_cast<std::size_t>(dev)].block(0, 0, i + 1, ib),
+      Member& dm = mem(dev);
+      hybrid::copy_h2d_async(sd, at(g_host_, dev).block(0, 0, wcols, ib),
+                             dm.g.block(0, 0, wcols, ib));
+      hybrid::gemm_async(sd, Trans::No, Trans::No, 1.0, dm.e.block(0, l1, i + 1, wcols),
+                         dm.g.block(0, 0, wcols, ib), 0.0, dm.yce.block(0, 0, i + 1, ib));
+      hybrid::copy_d2h_async(sd, dm.yce.block(0, 0, i + 1, ib),
                              stage_g_.block(0, static_cast<index_t>(sl) * nb_, i + 1, ib));
       // The cross-device edge: the collector's reduce task must not start
       // before this member's partial landed in stage_g_.
@@ -365,17 +479,8 @@ class PoolDriver {
                  }
                });
     const hybrid::Event reduced = sc.record();
-    for (int sl = 0; sl < Ddata_; ++sl) {
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event yb = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = yb.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
-    }
-    const double wc0 = health_->wait_begin();
-    const bool cok = reduced.wait_for(health_->allowed(cdev));
-    if (!health_->wait_end(cdev, wc0, cok) || pool_.lost(cdev)) throw device_lost{cdev};
+    for (int sl = 0; sl < Ddata_; ++sl) await_member(at(slot_dev_, sl));
+    if (!answered(cdev, reduced) || pool_.lost(cdev)) throw device_lost{cdev};
     blas::trmm(Side::Right, Uplo::Upper, Trans::No, Diag::NonUnit, 1.0,
                MatrixView<const double>(t_host_.block(0, 0, ib, ib)),
                y_host_.block(0, 0, i + 1, ib));
@@ -383,7 +488,7 @@ class PoolDriver {
     // Panel-phase integrity gate: a poison strike during the panel fed
     // garbage into y_col/Y-top — catch it before any update commits, so
     // the checkpoint retry still applies.
-    verify_members(i);
+    verify_members();
   }
 
   void update(index_t i, index_t ib) {
@@ -392,10 +497,28 @@ class PoolDriver {
     const index_t dstart = lay_.domain_start(i + ib);
     const index_t wdom = lay_.w_max - dstart;
 
+    // Right-update generators over the lockstep domain [dstart, w_max):
+    // row (l − dstart) = V(c − i − 1, :) when c is a trailing column
+    // (i+ib ≤ c < n), zero otherwise; the parity member uses the sum of the
+    // data generators, which is exactly what keeps parity = Σ shards.
     Matrix<double> v = lapack::materialize_v(MatrixView<const double>(a_), i, ib);
-    build_ve(v, vrows, ib);
-    build_yce(ib);
-    build_update_generators(v, i, ib, dstart);
+    with_code_row(v.cview(), ve_host_.view());
+    with_code_row(y_host_.block(0, 0, n_, ib), yce_host_.view());
+    for (int sl = 0; sl < Ddata_; ++sl) {
+      gather_v_rows(sl, dstart, i + ib, i + 1, v.cview(),
+                    at(g_host_, at(slot_dev_, sl)).view());
+    }
+    if (parity_dev_ >= 0) {
+      MatrixView<double> gp = at(g_host_, parity_dev_).view();
+      for (index_t l = dstart; l < lay_.w_max; ++l) {
+        for (index_t q = 0; q < ib; ++q) {
+          double acc = 0.0;
+          for (int sl = 0; sl < Ddata_; ++sl)
+            acc += at(g_host_, at(slot_dev_, sl))(l - dstart, q);
+          gp(l - dstart, q) = acc;
+        }
+      }
+    }
 
     // Broadcast V/T/Yce and run both block updates on every member over
     // the same local domain, in lockstep. No member reads another member's
@@ -404,130 +527,135 @@ class PoolDriver {
     for (int m = 0; m < active_count(); ++m) {
       const int dev = active_device(m);
       hybrid::Stream& sd = pool_.stream(dev);
+      Member& dm = mem(dev);
       hybrid::copy_h2d_async(sd, yce_host_.block(0, 0, n_ + 1, ib),
-                             d_yce_[static_cast<std::size_t>(dev)].block(0, 0, n_ + 1, ib));
+                             dm.yce.block(0, 0, n_ + 1, ib));
       hybrid::copy_h2d_async(sd, ve_host_.block(0, 0, vrows + 1, ib),
-                             d_ve_[static_cast<std::size_t>(dev)].block(0, 0, vrows + 1, ib));
-      hybrid::copy_h2d_async(sd, t_host_.block(0, 0, ib, ib),
-                             d_t_[static_cast<std::size_t>(dev)].block(0, 0, ib, ib));
-      hybrid::copy_h2d_async(sd, g_host_[static_cast<std::size_t>(dev)].block(0, 0, wdom, ib),
-                             d_g_[static_cast<std::size_t>(dev)].block(0, 0, wdom, ib));
+                             dm.ve.block(0, 0, vrows + 1, ib));
+      hybrid::copy_h2d_async(sd, t_host_.block(0, 0, ib, ib), dm.t.block(0, 0, ib, ib));
+      hybrid::copy_h2d_async(sd, at(g_host_, dev).block(0, 0, wdom, ib),
+                             dm.g.block(0, 0, wdom, ib));
       // Right update: E −= Yce·Wgᵀ. Generator rows for finished/panel/
       // padding columns are zero, so only trailing columns change; the
       // code row rides along via Yce's column-sum row.
-      hybrid::gemm_async(sd, Trans::No, Trans::Yes, -1.0,
-                         d_yce_[static_cast<std::size_t>(dev)].block(0, 0, n_ + 1, ib),
-                         d_g_[static_cast<std::size_t>(dev)].block(0, 0, wdom, ib), 1.0,
-                         d_e_[static_cast<std::size_t>(dev)].block(0, dstart, n_ + 1, wdom));
+      hybrid::gemm_async(sd, Trans::No, Trans::Yes, -1.0, dm.yce.block(0, 0, n_ + 1, ib),
+                         dm.g.block(0, 0, wdom, ib), 1.0, dm.e.block(0, dstart, n_ + 1, wdom));
       // Left update: E := (I − V·Tᵀ·Vᵀ)·E over the whole domain (finished
       // columns receive the same garbage-lockstep update on every member,
       // which keeps parity and code row exact; host `a` stays
       // authoritative for them).
-      hybrid::gemm_async(sd, Trans::Yes, Trans::No, 1.0,
-                         d_ve_[static_cast<std::size_t>(dev)].block(0, 0, vrows, ib),
-                         d_e_[static_cast<std::size_t>(dev)].block(i + 1, dstart, vrows, wdom),
-                         0.0, d_w_[static_cast<std::size_t>(dev)].block(0, 0, ib, wdom));
+      hybrid::gemm_async(sd, Trans::Yes, Trans::No, 1.0, dm.ve.block(0, 0, vrows, ib),
+                         dm.e.block(i + 1, dstart, vrows, wdom), 0.0,
+                         dm.w.block(0, 0, ib, wdom));
       hybrid::trmm_async(sd, Side::Left, Uplo::Upper, Trans::Yes, Diag::NonUnit, 1.0,
-                         d_t_[static_cast<std::size_t>(dev)].block(0, 0, ib, ib),
-                         d_w_[static_cast<std::size_t>(dev)].block(0, 0, ib, wdom));
-      hybrid::gemm_async(sd, Trans::No, Trans::No, -1.0,
-                         d_ve_[static_cast<std::size_t>(dev)].block(0, 0, vrows + 1, ib),
-                         d_w_[static_cast<std::size_t>(dev)].block(0, 0, ib, wdom), 1.0,
-                         d_e_[static_cast<std::size_t>(dev)].block(i + 1, dstart, vrows + 1, wdom));
+                         dm.t.block(0, 0, ib, ib), dm.w.block(0, 0, ib, wdom));
+      hybrid::gemm_async(sd, Trans::No, Trans::No, -1.0, dm.ve.block(0, 0, vrows + 1, ib),
+                         dm.w.block(0, 0, ib, wdom), 1.0,
+                         dm.e.block(i + 1, dstart, vrows + 1, wdom));
     }
 
     // Host, overlapped with the device updates: finish the upper rows of
-    // the panel columns, A(0:i+1, i+1:i+ib) −= Y·V1ᵀ (hybrid_gehrd's fix;
-    // Yce already captured the pristine Y, so mutating y_host_ is fine).
-    blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
-               MatrixView<const double>(a_.block(i + 1, i, ib - 1, ib - 1)),
-               y_host_.block(0, 0, i + 1, ib - 1));
-    for (index_t j = 0; j + 1 < ib; ++j) {
-      blas::axpy(-1.0, VectorView<const double>(y_host_.block(0, j, i + 1, 1).col(0)),
-                 a_.block(0, i + 1 + j, i + 1, 1).col(0));
-    }
+    // the panel columns (hybrid_gehrd's fix; Yce already captured the
+    // pristine Y, so mutating y_host_ is fine).
+    lapack::detail::fix_panel_top_rows(a_, y_host_.view(), i, ib);
 
-    verify_members(i);
-  }
-
-  /// Boundary health check: every active member recomputes its code-row
-  /// gap on-device; the host collects with timeouts. Detects all three
-  /// loss kinds: timeout (stall), killed stream or NaN sentinel (hard
-  /// death — the marker completes but the verify task was discarded), and
-  /// gap over threshold (poison).
-  void verify_members(index_t boundary) {
-    (void)boundary;
-    for (int m = 0; m < active_count(); ++m) {
-      const int dev = active_device(m);
-      gaps_[static_cast<std::size_t>(dev)] = std::numeric_limits<double>::quiet_NaN();
-      double* gp = &gaps_[static_cast<std::size_t>(dev)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      // Occupancy sample for the health plane: was the member still
-      // working when the boundary check arrived?
-      health_->sample_occupancy(dev, !sd.idle());
-      sd.enqueue("pool.verify",
-                 FTH_TASK_EFFECTS(FTH_READS(d_e_[static_cast<std::size_t>(dev)].view())),
-                 [de = DMatrixView<const double>(d_e_[static_cast<std::size_t>(dev)].view()),
-                  gp] { *gp = code_row_gap(de.in_task()); });
-    }
-    for (int m = 0; m < active_count(); ++m) {
-      const int dev = active_device(m);
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event ve = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = ve.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
-    }
-    for (int m = 0; m < active_count(); ++m) {
-      const int dev = active_device(m);
-      const double g = gaps_[static_cast<std::size_t>(dev)];
-      if (!(g <= threshold_)) throw device_lost{dev, "poison"};
-    }
+    verify_members();
   }
 
   void final_gather(index_t i) {
     obs::TraceSpan span("ft", "pool.gather", "col", static_cast<double>(i));
     for (int sl = 0; sl < Ddata_; ++sl) {
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
+      const int dev = at(slot_dev_, sl);
       hybrid::Stream& sd = pool_.stream(dev);
-      hybrid::copy_d2h_async(sd, d_e_[static_cast<std::size_t>(dev)].view(),
-                             host_sh_[static_cast<std::size_t>(sl)].view());
+      hybrid::copy_d2h_async(sd, mem(dev).e.view(), at(host_sh_, sl).view());
     }
+    for (int sl = 0; sl < Ddata_; ++sl) await_member(at(slot_dev_, sl));
     for (int sl = 0; sl < Ddata_; ++sl) {
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event gf = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = gf.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) throw device_lost{dev};
-    }
-    for (int sl = 0; sl < Ddata_; ++sl) {
-      const double g = code_row_gap(host_sh_[static_cast<std::size_t>(sl)].cview());
-      if (!(g <= threshold_))
-        throw device_lost{slot_dev_[static_cast<std::size_t>(sl)], "poison"};
+      if (!(code_row_gap(at(host_sh_, sl).cview()) <= threshold_))
+        throw device_lost{at(slot_dev_, sl), "poison"};
     }
     gather_shards(lay_, host_sh_, a_, i);
   }
 
-  void host_finish(index_t i) {
-    obs::TraceSpan span("ft", "pool.finish", "col", static_cast<double>(i));
-    if (i + 1 >= n_) return;
-    std::vector<double> wbuf(static_cast<std::size_t>(n_));
-    VectorView<double> w(wbuf.data(), n_);
-    for (index_t c = i; c + 1 < n_; ++c) {
-      double alpha = a_(c + 1, c);
-      auto x = (c + 2 < n_) ? a_.col(c).sub(c + 2, n_ - c - 2) : VectorView<double>();
-      lapack::larfg(alpha, x, tau_[c]);
-      const double ei = alpha;
-      a_(c + 1, c) = 1.0;
-      VectorView<const double> vc(a_.block(c + 1, c, n_ - c - 1, 1).col(0).data(), n_ - c - 1, 1);
-      lapack::larf(Side::Right, vc, tau_[c], a_.block(0, c + 1, n_, n_ - c - 1), w);
-      lapack::larf(Side::Left, vc, tau_[c], a_.block(c + 1, c + 1, n_ - c - 1, n_ - c - 1), w);
-      a_(c + 1, c) = ei;
-    }
+  // --- loss handling ---------------------------------------------------
+
+  /// Write one device-loss incident capsule (no-op unless capsule emission
+  /// is armed); obs::write_run_incident adds the run-scoped evidence.
+  void emit_incident(const char* trigger, int dev, index_t boundary, const char* status,
+                     std::string detail) {
+    if (!obs::incident_enabled()) return;
+    obs::IncidentReport inc;
+    inc.trigger = trigger;
+    inc.who = "pool_gehrd";
+    inc.run_id = rep_.run_id;
+    inc.device = dev;
+    inc.boundary = boundary;
+    inc.outcome = {status, "device_lost", std::move(detail), rep_.losses};
+    inc.health = health_->snapshot();
+    if (plane_ != nullptr) inc.strikes_json = fault::strikes_json(*plane_);
+    obs::write_run_incident(inc, counters_base_, rep_.incidents);
   }
 
-  // --- loss handling ---------------------------------------------------
+  /// Close out an absorbed loss: stamp the repair-done journal record (the
+  /// recovery-cost endpoint fth_incident measures to) and emit the
+  /// device-loss incident capsule.
+  void finish_repair(int dev, index_t boundary, const char* status) {
+    obs::journal_log(obs::JournalSeverity::Info, "pool", "repair_done", dev,
+                     static_cast<double>(rep_.losses), boundary);
+    emit_incident("device_loss", dev, boundary, status,
+                  "loss absorbed by coded reconstruction");
+  }
+
+  [[noreturn]] void escalate(int dev, index_t boundary) {
+    obs::counter_metric("fault.device_loss.escalated").add();
+    const double g = at(gaps_, dev);
+    obs::journal_log(obs::JournalSeverity::Error, "pool", "escalated", dev,
+                     static_cast<double>(group_.losses()), boundary);
+    emit_incident("escalation", dev, boundary, "escalated",
+                  "losses exceeded the redundancy group's correction radius");
+    abort_recovery(rep_.outcome, "pool_gehrd", AbortReason::DeviceLost, boundary, rep_.losses,
+                   std::isfinite(g) ? g : 0.0, threshold_,
+                   "device " + std::to_string(dev) + " lost with " +
+                       std::to_string(group_.losses()) +
+                       " loss(es) already charged to the redundancy group");
+  }
+
+  /// Synchronize every stream, with a timeout per member so a second
+  /// stalled device cannot hang the repair: stragglers are killed (which
+  /// releases them — Stream::kill doom semantics) and reported back.
+  int drain_all() {
+    int straggler = -1;
+    for (int d = 0; d < D_; ++d) {
+      hybrid::Stream& sd = pool_.stream(d);
+      const hybrid::Event dr = sd.record();
+      if (!answered(d, dr)) {
+        health_->mark_lost(d);
+        pool_.mark_lost(d);
+        if (straggler < 0) straggler = d;
+      }
+      sd.synchronize();
+    }
+    return straggler;
+  }
+
+  /// Fetch the survivor shards and the parity to the host for a
+  /// reconstruction. A timeout here is a second loss — escalate.
+  void fetch_group(int lost_slot, index_t boundary) {
+    for (int sl = 0; sl < Ddata_; ++sl) {
+      if (sl == lost_slot) continue;
+      const int dev = at(slot_dev_, sl);
+      hybrid::Stream& sd = pool_.stream(dev);
+      hybrid::copy_d2h_async(sd, mem(dev).e.view(), at(host_sh_, sl).view());
+    }
+    hybrid::Stream& sp = pool_.stream(parity_dev_);
+    hybrid::copy_d2h_async(sp, mem(parity_dev_).e.view(), parity_host_.view());
+    for (int sl = 0; sl < Ddata_; ++sl) {
+      if (sl == lost_slot) continue;
+      const int dev = at(slot_dev_, sl);
+      if (!alive(dev)) escalate(dev, boundary);
+    }
+    if (!alive(parity_dev_)) escalate(parity_dev_, boundary);
+  }
 
   /// Quarantine the lost member, account the loss against the redundancy
   /// group, and either reconstruct + remap (first loss of a data shard),
@@ -540,7 +668,7 @@ class PoolDriver {
     obs::counter_metric("fault.device_loss.detected.dev" + std::to_string(dev)).add();
     obs::instant("fault", "device_loss_detected");
     if (obs::journal_enabled()) {
-      const double g = gaps_[static_cast<std::size_t>(dev)];
+      const double g = at(gaps_, dev);
       obs::journal_log(obs::JournalSeverity::Error, "pool", "loss_detected", dev,
                        std::isfinite(g) ? g : 0.0, boundary, dl.cause);
     }
@@ -577,269 +705,22 @@ class PoolDriver {
     // Reconstruct the lost data shard as parity − Σ survivors and remap it
     // onto the parity device (which stops being parity).
     fetch_group(slot, boundary);
-    reconstruct_shard(lay_, host_sh_, parity_host_.cview(), slot,
-                      host_sh_[static_cast<std::size_t>(slot)]);
+    reconstruct_shard(lay_, host_sh_, parity_host_.cview(), slot, at(host_sh_, slot));
     ++rep_.reconstructions;
     obs::counter_metric("fault.device_loss.reconstructed").add();
     obs::journal_log(obs::JournalSeverity::Info, "pool", "reconstructed", dev,
                      static_cast<double>(slot), boundary);
     const int target = parity_dev_;
-    {
-      hybrid::Stream& sd = pool_.stream(target);
-      hybrid::copy_h2d_async(sd, host_sh_[static_cast<std::size_t>(slot)].cview(),
-                             d_e_[static_cast<std::size_t>(target)].view());
-      const hybrid::Event rm = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = rm.wait_for(health_->allowed(target));
-      if (!health_->wait_end(target, w0, ok) || pool_.lost(target))
-        escalate(target, boundary);
-    }
-    slot_dev_[static_cast<std::size_t>(slot)] = target;
+    hybrid::Stream& sd = pool_.stream(target);
+    hybrid::copy_h2d_async(sd, at(host_sh_, slot).cview(), mem(target).e.view());
+    if (!alive(target)) escalate(target, boundary);
+    at(slot_dev_, slot) = target;
     parity_dev_ = -1;
     ++rep_.remaps;
     obs::counter_metric("fault.device_loss.remapped").add();
     obs::journal_log(obs::JournalSeverity::Info, "pool", "remapped", dev,
                      static_cast<double>(target), boundary);
     finish_repair(dev, boundary, "recovered");
-  }
-
-  /// Close out an absorbed loss: stamp the repair-done journal record (the
-  /// recovery-cost endpoint fth_incident measures to) and emit the
-  /// device-loss incident capsule.
-  void finish_repair(int dev, index_t boundary, const char* status) {
-    obs::journal_log(obs::JournalSeverity::Info, "pool", "repair_done", dev,
-                     static_cast<double>(rep_.losses), boundary);
-    emit_incident("device_loss", dev, boundary, status, "device_lost",
-                  "loss absorbed by coded reconstruction");
-  }
-
-  /// Assemble and write one incident capsule (no-op unless capsule
-  /// emission is armed). The journal slice is keyed by this run's id; the
-  /// flight/DAG fragments are whatever recorders happen to be armed.
-  void emit_incident(const char* trigger, int dev, index_t boundary, const char* status,
-                     const char* reason, std::string detail) {
-    if (!obs::incident_enabled()) return;
-    obs::IncidentReport inc;
-    inc.trigger = trigger;
-    inc.who = "pool_gehrd";
-    inc.run_id = rep_.run_id;
-    inc.device = dev;
-    inc.boundary = boundary;
-    inc.outcome.status = status;
-    inc.outcome.reason = reason;
-    inc.outcome.detail = std::move(detail);
-    inc.outcome.attempts = rep_.losses;
-    const auto now = obs::Registry::global().counter_values();
-    for (const auto& [name, delta] : obs::Registry::counter_delta(now, counters_base_))
-      inc.metrics_delta.emplace_back(name, delta);
-    inc.journal = obs::journal_snapshot(rep_.run_id);
-    inc.health = health_->snapshot();
-    if (plane_ != nullptr) inc.strikes_json = fault::strikes_json(*plane_);
-    inc.flight_json = obs::flight_tail_json(512);
-    inc.dag_json = obs::dag::tail_json(128);
-    const std::string path = obs::write_incident(inc);
-    if (!path.empty()) rep_.incidents.push_back(path);
-  }
-
-  /// Synchronize every stream, with a timeout per member so a second
-  /// stalled device cannot hang the repair: stragglers are killed (which
-  /// releases them — Stream::kill doom semantics) and reported back.
-  int drain_all() {
-    int straggler = -1;
-    for (int d = 0; d < D_; ++d) {
-      hybrid::Stream& sd = pool_.stream(d);
-      const hybrid::Event dr = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = dr.wait_for(health_->allowed(d));
-      if (!health_->wait_end(d, w0, ok)) {
-        health_->mark_lost(d);
-        pool_.mark_lost(d);
-        if (straggler < 0) straggler = d;
-      }
-      sd.synchronize();
-    }
-    return straggler;
-  }
-
-  /// Fetch the survivor shards and the parity to the host for a
-  /// reconstruction. A timeout here is a second loss — escalate.
-  void fetch_group(int lost_slot, index_t boundary) {
-    for (int sl = 0; sl < Ddata_; ++sl) {
-      if (sl == lost_slot) continue;
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      hybrid::copy_d2h_async(sd, d_e_[static_cast<std::size_t>(dev)].view(),
-                             host_sh_[static_cast<std::size_t>(sl)].view());
-    }
-    {
-      hybrid::Stream& sd = pool_.stream(parity_dev_);
-      hybrid::copy_d2h_async(sd, d_e_[static_cast<std::size_t>(parity_dev_)].view(),
-                             parity_host_.view());
-    }
-    for (int sl = 0; sl < Ddata_; ++sl) {
-      if (sl == lost_slot) continue;
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      hybrid::Stream& sd = pool_.stream(dev);
-      const hybrid::Event fg = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = fg.wait_for(health_->allowed(dev));
-      if (!health_->wait_end(dev, w0, ok) || pool_.lost(dev)) escalate(dev, boundary);
-    }
-    {
-      hybrid::Stream& sd = pool_.stream(parity_dev_);
-      const hybrid::Event fp = sd.record();
-      const double w0 = health_->wait_begin();
-      const bool ok = fp.wait_for(health_->allowed(parity_dev_));
-      if (!health_->wait_end(parity_dev_, w0, ok) || pool_.lost(parity_dev_))
-        escalate(parity_dev_, boundary);
-    }
-  }
-
-  [[noreturn]] void escalate(int dev, index_t boundary) {
-    obs::counter_metric("fault.device_loss.escalated").add();
-    const double g = gaps_[static_cast<std::size_t>(dev)];
-    obs::journal_log(obs::JournalSeverity::Error, "pool", "escalated", dev,
-                     static_cast<double>(group_.losses()), boundary);
-    emit_incident("escalation", dev, boundary, "escalated", "device_lost",
-                  "losses exceeded the redundancy group's correction radius");
-    abort_recovery(rep_.outcome, "pool_gehrd", AbortReason::DeviceLost, boundary, rep_.losses,
-                   std::isfinite(g) ? g : 0.0, threshold_,
-                   "device " + std::to_string(dev) + " lost with " +
-                       std::to_string(group_.losses()) +
-                       " loss(es) already charged to the redundancy group");
-  }
-
-  // --- host-side assembly helpers --------------------------------------
-
-  /// First local column of `slot` whose global column is ≥ c (clamped to
-  /// w_max when the slot owns nothing that far right).
-  [[nodiscard]] index_t first_local(int slot, index_t c) const {
-    const index_t s = static_cast<index_t>(slot);
-    const index_t l = c > s ? (c - s + Ddata_ - 1) / Ddata_ : 0;
-    return std::min<index_t>(l, lay_.w_max);
-  }
-
-  /// Per-slot gathered copies of the reflector vector for the panel GEMV:
-  /// vg_s[l − l0] = vj[c − cj − 1] for the slot's columns c ≥ cj+1.
-  void build_gathered_vectors(index_t cj, VectorView<const double> vj) {
-    for (int sl = 0; sl < Ddata_; ++sl) {
-      const index_t l0 = first_local(sl, cj + 1);
-      MatrixView<double> vg = vg_host_[static_cast<std::size_t>(sl)].view();
-      for (index_t l = l0; l < lay_.w_max; ++l) {
-        const index_t c = lay_.global_of(sl, l);
-        vg(l - l0, 0) = c < n_ ? vj[c - cj - 1] : 0.0;
-      }
-      if (l0 >= lay_.w_max) {
-        // Slot owns nothing in range: its partial column must read as 0.
-        for (index_t r = 0; r < n_; ++r) stage_y_(r, sl) = 0.0;
-      }
-    }
-  }
-
-  /// Per-slot Y-top generators: row (l − l1) = V(c − i − 1, :) for the
-  /// slot's columns c ≥ i+1 (zero for padding).
-  void build_ytop_generators(const Matrix<double>& v, index_t i, index_t ib) {
-    for (int sl = 0; sl < Ddata_; ++sl) {
-      const index_t l1 = first_local(sl, i + 1);
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      MatrixView<double> g = g_host_[static_cast<std::size_t>(dev)].view();
-      for (index_t l = l1; l < lay_.w_max; ++l) {
-        const index_t c = lay_.global_of(sl, l);
-        for (index_t q = 0; q < ib; ++q) g(l - l1, q) = c < n_ ? v(c - i - 1, q) : 0.0;
-      }
-      if (l1 >= lay_.w_max) {
-        for (index_t q = 0; q < ib; ++q)
-          for (index_t r = 0; r <= i; ++r)
-            stage_g_(r, static_cast<index_t>(sl) * nb_ + q) = 0.0;
-      }
-    }
-  }
-
-  /// Ve = [V; colsum(V)], the left-update operator extended by the code
-  /// row's share (same shape as ft_gehrd's Vce).
-  void build_ve(const Matrix<double>& v, index_t vrows, index_t ib) {
-    MatrixView<double> ve = ve_host_.view();
-    for (index_t q = 0; q < ib; ++q) {
-      double cs = 0.0;
-      for (index_t r = 0; r < vrows; ++r) {
-        ve(r, q) = v(r, q);
-        cs += v(r, q);
-      }
-      ve(vrows, q) = cs;
-    }
-  }
-
-  /// Yce = [Y; colsum(Y)], the right-update operand extended by the code
-  /// row's share. Reads the pristine (post-trmm, pre-fix) y_host_.
-  void build_yce(index_t ib) {
-    MatrixView<double> yce = yce_host_.view();
-    for (index_t q = 0; q < ib; ++q) {
-      double cs = 0.0;
-      for (index_t r = 0; r < n_; ++r) {
-        yce(r, q) = y_host_(r, q);
-        cs += y_host_(r, q);
-      }
-      yce(n_, q) = cs;
-    }
-  }
-
-  /// Right-update generators over the lockstep domain [dstart, w_max):
-  /// row (l − dstart) = V(c − i − 1, :) when c is a trailing column
-  /// (i+ib ≤ c < n), zero otherwise; the parity member uses the sum of the
-  /// data generators, which is exactly what keeps parity = Σ shards.
-  void build_update_generators(const Matrix<double>& v, index_t i, index_t ib,
-                               index_t dstart) {
-    for (int sl = 0; sl < Ddata_; ++sl) {
-      const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-      MatrixView<double> g = g_host_[static_cast<std::size_t>(dev)].view();
-      for (index_t l = dstart; l < lay_.w_max; ++l) {
-        const index_t c = lay_.global_of(sl, l);
-        const bool live = c >= i + ib && c < n_;
-        for (index_t q = 0; q < ib; ++q) g(l - dstart, q) = live ? v(c - i - 1, q) : 0.0;
-      }
-    }
-    if (parity_dev_ >= 0) {
-      MatrixView<double> gp = g_host_[static_cast<std::size_t>(parity_dev_)].view();
-      for (index_t l = dstart; l < lay_.w_max; ++l) {
-        for (index_t q = 0; q < ib; ++q) {
-          double acc = 0.0;
-          for (int sl = 0; sl < Ddata_; ++sl) {
-            const int dev = slot_dev_[static_cast<std::size_t>(sl)];
-            acc += g_host_[static_cast<std::size_t>(dev)](l - dstart, q);
-          }
-          gp(l - dstart, q) = acc;
-        }
-      }
-    }
-  }
-
-  // --- membership ------------------------------------------------------
-
-  [[nodiscard]] int collector_device() const {
-    return parity_dev_ >= 0 ? parity_dev_ : slot_dev_[0];
-  }
-
-  [[nodiscard]] int active_count() const { return Ddata_ + (parity_dev_ >= 0 ? 1 : 0); }
-
-  [[nodiscard]] int active_device(int member) const {
-    return member < Ddata_ ? slot_dev_[static_cast<std::size_t>(member)] : parity_dev_;
-  }
-
-  [[nodiscard]] int slot_of_device(int dev) const {
-    for (int sl = 0; sl < Ddata_; ++sl)
-      if (slot_dev_[static_cast<std::size_t>(sl)] == dev) return sl;
-    return -1;
-  }
-
-  void finish_outcome() {
-    rep_.outcome.status =
-        rep_.losses > 0 ? RecoveryStatus::Recovered : RecoveryStatus::Clean;
-    rep_.outcome.reason = AbortReason::None;
-    rep_.outcome.attempts = rep_.losses;
-    rep_.outcome.threshold = threshold_;
-    rep_.health = health_->snapshot();
-    obs::journal_log(obs::JournalSeverity::Info, "pool", "finished", -1,
-                     static_cast<double>(rep_.losses));
   }
 
   // --- state -----------------------------------------------------------
@@ -864,15 +745,18 @@ class PoolDriver {
   std::vector<int> slot_dev_;  ///< data slot → pool ordinal (remapped on loss)
   std::vector<double> gaps_;   ///< per-ordinal verify result (NaN sentinel)
 
-  std::vector<hybrid::DeviceMatrix<double>> d_e_, d_vg_, d_py_, d_ve_, d_t_, d_yce_, d_g_,
-      d_w_;
+  std::vector<Member> mem_;              ///< per-ordinal device workspaces
   std::vector<Matrix<double>> host_sh_;  ///< scatter/gather/reconstruct staging
   Matrix<double> parity_host_;
   Matrix<double> t_host_, y_host_, yce_host_, ve_host_;
   Matrix<double> stage_y_;             ///< (n × Ddata) panel GEMV partials
   Matrix<double> stage_g_;             ///< (n × Ddata·nb) Y-top partials
   Matrix<double> ckpt_;                ///< host panel checkpoint
-  std::vector<Matrix<double>> g_host_;   ///< per-ordinal generator staging
+  /// Per-ordinal generator staging. Kept out of Member: it is the host
+  /// side of an h2d, and fth_analyze roots a buffer at its first
+  /// identifier, so inside Member every member's h2d source and device
+  /// buffers would share one root.
+  std::vector<Matrix<double>> g_host_;
   std::vector<Matrix<double>> vg_host_;  ///< per-slot gathered vector staging
 };
 

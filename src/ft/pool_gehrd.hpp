@@ -41,21 +41,19 @@ struct PoolGehrdOptions {
   index_t nb = 32;   ///< panel width
   index_t nx = 128;  ///< crossover: below this the reduction runs on the host
   /// Detection threshold for the per-shard code-row gap; 0 derives
-  /// default_threshold(‖A‖_F, n, threshold_factor) like ft_gehrd.
+  /// default_threshold(‖A‖_F, n, threshold_factor) like ft_gehrd
+  /// (resolve_threshold, ft/checksum.hpp).
   double threshold = 0.0;
   double threshold_factor = 500.0;
   /// Health-check timeout *ceiling* for every host wait on a device.
   /// Generous by default: a false timeout on a slow-but-healthy member
   /// would declare a spurious loss (safe, but burns the redundancy
-  /// budget). `FTH_POOL_TIMEOUT_MS` overrides it at run time.
+  /// budget). `FTH_POOL_TIMEOUT_MS` overrides it at run time. The driver's
+  /// own monitor adapts the allowance below this ceiling once it has seen
+  /// enough wait latencies (obs/health.hpp), never above it.
   double timeout_ms = 2000.0;
-  /// Let the HealthMonitor shrink the wait allowance below the ceiling
-  /// once it has seen enough wait latencies (obs/health.hpp); the
-  /// allowance never exceeds timeout_ms, so false losses stay no more
-  /// likely than with the fixed timeout.
-  bool adaptive_timeout = true;
-  /// Share an externally owned monitor (tests, the future service); the
-  /// driver owns a private one when null.
+  /// Share an externally owned monitor (tests, the future service, or a
+  /// fixed allowance); the driver owns a private one when null.
   obs::HealthMonitor* health = nullptr;
   /// Optional fault plane; the driver binds it to the pool, registers each
   /// member's shard buffer as the loss surface, and marks encoding done.

@@ -25,6 +25,7 @@
 // garbage.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/types.hpp"
@@ -53,16 +54,19 @@ struct ShardLayout {
     if (c0 >= n) return 0;
     return (n - 1 - c0) / data_shards + 1;
   }
+  /// First local column of `slot` whose global column is ≥ `c` (the
+  /// first l with l·Ddata + slot ≥ c), clamped to w_max when the slot owns
+  /// nothing that far right.
+  [[nodiscard]] index_t first_local(int slot, index_t c) const noexcept {
+    const index_t l = (c > slot) ? (c - slot + data_shards - 1) / data_shards : 0;
+    return std::min(l, w_max);
+  }
   /// First local column whose global column is ≥ `c` in SOME slot — the
   /// lockstep update domain for an iteration whose trailing block starts
   /// at global column `c` is local columns [domain_start(c), w_max).
   [[nodiscard]] index_t domain_start(index_t c) const noexcept {
     index_t s = w_max;
-    for (int d = 0; d < data_shards; ++d) {
-      // first l with l·Ddata + d ≥ c
-      const index_t l = (c > d) ? (c - d + data_shards - 1) / data_shards : 0;
-      if (l < s) s = l;
-    }
+    for (int d = 0; d < data_shards; ++d) s = std::min(s, first_local(d, c));
     return s;
   }
 };

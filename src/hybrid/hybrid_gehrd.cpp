@@ -1,17 +1,12 @@
 #include "hybrid/hybrid_gehrd.hpp"
 
-#include <vector>
-
 #include "common/error.hpp"
 #include "common/timer.hpp"
-#include "la/blas1.hpp"
-#include "la/blas3.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "obs/trace.hpp"
 #include "lapack/gehrd.hpp"
 #include "lapack/lahr2_impl.hpp"
 #include "lapack/orghr.hpp"
-#include "lapack/reflectors.hpp"
 
 namespace fth::hybrid {
 
@@ -125,13 +120,7 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
         // also retires the V/T/Y uploads, so the stack-local V staging
         // buffer may die at the end of this scope with no transfer live.
         y_upper_ready.wait();
-        blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
-                   MatrixView<const double>(a.block(i + 1, i, ib - 1, ib - 1)),
-                   y_host.block(0, 0, i + 1, ib - 1));
-        for (index_t j = 0; j + 1 < ib; ++j) {
-          blas::axpy(-1.0, VectorView<const double>(y_host.block(0, j, i + 1, 1).col(0)),
-                     a.block(0, i + 1 + j, i + 1, 1).col(0));
-        }
+        lapack::detail::fix_panel_top_rows(a, y_host.view(), i, ib);
 
         i += ib;
         ++st.panels;
@@ -157,21 +146,7 @@ void hybrid_gehrd(Device& dev, MatrixView<double> a, VectorView<double> tau,
 
     WallTimer finish_timer;
     obs::TraceSpan finish_span("hybrid", "finish", "col", static_cast<double>(i));
-    if (i + 1 < n) {
-      std::vector<double> wbuf(static_cast<std::size_t>(n));
-      VectorView<double> w(wbuf.data(), n);
-      for (index_t c = i; c + 1 < n; ++c) {
-        double alpha = a(c + 1, c);
-        auto x = (c + 2 < n) ? a.col(c).sub(c + 2, n - c - 2) : VectorView<double>();
-        lapack::larfg(alpha, x, tau[c]);
-        const double ei = alpha;
-        a(c + 1, c) = 1.0;
-        VectorView<const double> v(a.block(c + 1, c, n - c - 1, 1).col(0).data(), n - c - 1, 1);
-        lapack::larf(Side::Right, v, tau[c], a.block(0, c + 1, n, n - c - 1), w);
-        lapack::larf(Side::Left, v, tau[c], a.block(c + 1, c + 1, n - c - 1, n - c - 1), w);
-        a(c + 1, c) = ei;
-      }
-    }
+    lapack::detail::gehd2_from(a, tau, i);
     st.finish_seconds = finish_timer.seconds();
   } else {
     // Problem too small for the hybrid path: plain host reduction.

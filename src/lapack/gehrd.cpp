@@ -1,7 +1,6 @@
 #include "lapack/gehrd.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "common/error.hpp"
 #include "la/blas1.hpp"
@@ -24,28 +23,7 @@ void gehd2(MatrixView<double> a, VectorView<double> tau) {
     return;
   }
 
-  std::vector<double> work_buf(static_cast<std::size_t>(n));
-  VectorView<double> work(work_buf.data(), n);
-
-  for (index_t i = 0; i + 1 < n; ++i) {
-    // Generate H(i) to annihilate A(i+2:n, i).
-    double alpha = a(i + 1, i);
-    auto x = (i + 2 < n) ? a.col(i).sub(i + 2, n - i - 2) : VectorView<double>();
-    larfg(alpha, x, tau[i]);
-    const double ei = alpha;
-
-    // v lives in A(i+1:n, i) with the leading 1 stored temporarily.
-    a(i + 1, i) = 1.0;
-    auto v = a.block(i + 1, i, n - i - 1, 1).col(0);
-    VectorView<const double> vc(v.data(), v.size(), v.inc());
-
-    // A(0:n, i+1:n) := A·H(i)   (right update)
-    larf(Side::Right, vc, tau[i], a.block(0, i + 1, n, n - i - 1), work);
-    // A(i+1:n, i+1:n) := H(i)·A (left update; H is symmetric)
-    larf(Side::Left, vc, tau[i], a.block(i + 1, i + 1, n - i - 1, n - i - 1), work);
-
-    a(i + 1, i) = ei;
-  }
+  detail::gehd2_from(a, tau, 0);
 }
 
 void lahr2(MatrixView<double> a, index_t k, index_t nb, MatrixView<double> t,
@@ -109,13 +87,7 @@ void gehrd(MatrixView<double> a, VectorView<double> tau, const GehrdOptions& opt
 
     // Right update of the panel's own upper rows:
     // A(0:i+1, i+1:i+ib) −= Y(0:i+1, 0:ib−1)·V1ᵀ (V1 unit lower triangular).
-    blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
-               MatrixView<const double>(a.block(i + 1, i, ib - 1, ib - 1)),
-               y.block(0, 0, i + 1, ib - 1));
-    for (index_t j = 0; j + 1 < ib; ++j) {
-      blas::axpy(-1.0, VectorView<const double>(y.block(0, j, i + 1, 1).col(0)),
-                 a.block(0, i + 1 + j, i + 1, 1).col(0));
-    }
+    detail::fix_panel_top_rows(a, y.view(), i, ib);
 
     // Left update: A(i+1:n, i+ib:n) := Hᵀ·A(i+1:n, i+ib:n).
     larfb(Side::Left, Trans::Yes, Direction::Forward, StoreV::Columnwise,
@@ -127,24 +99,7 @@ void gehrd(MatrixView<double> a, VectorView<double> tau, const GehrdOptions& opt
   }
 
   // Unblocked phase on the remaining trailing matrix.
-  if (i + 1 < n) {
-    // gehd2 on the trailing (n−i)×(n−i) block would lose the couplings to
-    // the finished part, so run the unblocked algorithm on the full matrix
-    // but starting at column i: inline variant of gehd2 with offset.
-    std::vector<double> wbuf(static_cast<std::size_t>(n));
-    VectorView<double> w(wbuf.data(), n);
-    for (index_t c = i; c + 1 < n; ++c) {
-      double alpha = a(c + 1, c);
-      auto x = (c + 2 < n) ? a.col(c).sub(c + 2, n - c - 2) : VectorView<double>();
-      larfg(alpha, x, tau[c]);
-      const double ei = alpha;
-      a(c + 1, c) = 1.0;
-      VectorView<const double> v(a.block(c + 1, c, n - c - 1, 1).col(0).data(), n - c - 1, 1);
-      larf(Side::Right, v, tau[c], a.block(0, c + 1, n, n - c - 1), w);
-      larf(Side::Left, v, tau[c], a.block(c + 1, c + 1, n - c - 1, n - c - 1), w);
-      a(c + 1, c) = ei;
-    }
-  }
+  detail::gehd2_from(a, tau, i);
 }
 
 Matrix<double> extract_hessenberg(MatrixView<const double> a_factored) {

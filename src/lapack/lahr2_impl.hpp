@@ -6,7 +6,12 @@
 // host path that data is in `a`; on the hybrid path it lives in device
 // memory and the product runs as a device kernel. The provider functor
 // abstracts exactly that one step, so the delicate column-update logic
-// exists once.
+// exists once. The two host steps every blocked Hessenberg driver shares
+// around it (the panel top-row fix and the unblocked tail) live here too,
+// inline like the panel loop. Out of line they changed GCC's inlining
+// decisions in the callers, and under -ffp-contract=fast (GCC's C++
+// default) which products fuse into an FMA follows those decisions, so
+// the output bits of lapack::gehrd and hybrid_gehrd moved.
 #pragma once
 
 #include <vector>
@@ -14,6 +19,7 @@
 #include "common/error.hpp"
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
+#include "la/blas3.hpp"
 #include "la/matrix.hpp"
 #include "lapack/reflectors.hpp"
 
@@ -97,6 +103,52 @@ void lahr2_panel(MatrixView<double> a, index_t k, index_t nb, MatrixView<double>
     t(j, j) = tau[j];
   }
   a(k + nb, k + nb - 1) = ei;
+}
+
+/// The unblocked (gehd2) column loop on columns [i, n−1) of the full n×n
+/// matrix: gehd2 is the i = 0 case, and the blocked drivers finish their
+/// trailing block with it. It runs on the full matrix, not the trailing
+/// block, so the right updates reach the rows of the finished part.
+inline void gehd2_from(MatrixView<double> a, VectorView<double> tau, index_t i) {
+  const index_t n = a.rows();
+  if (i + 1 >= n) return;
+  std::vector<double> work_buf(static_cast<std::size_t>(n));
+  VectorView<double> work(work_buf.data(), n);
+
+  for (index_t c = i; c + 1 < n; ++c) {
+    // Generate H(c) to annihilate A(c+2:n, c).
+    double alpha = a(c + 1, c);
+    auto x = (c + 2 < n) ? a.col(c).sub(c + 2, n - c - 2) : VectorView<double>();
+    larfg(alpha, x, tau[c]);
+    const double ei = alpha;
+
+    // v lives in A(c+1:n, c) with the leading 1 stored temporarily.
+    a(c + 1, c) = 1.0;
+    auto v = a.block(c + 1, c, n - c - 1, 1).col(0);
+    VectorView<const double> vc(v.data(), v.size(), v.inc());
+
+    // A(0:n, c+1:n) := A·H(c)   (right update)
+    larf(Side::Right, vc, tau[c], a.block(0, c + 1, n, n - c - 1), work);
+    // A(c+1:n, c+1:n) := H(c)·A (left update; H is symmetric)
+    larf(Side::Left, vc, tau[c], a.block(c + 1, c + 1, n - c - 1, n - c - 1), work);
+
+    a(c + 1, c) = ei;
+  }
+}
+
+/// The blocked step's right update of the panel's own upper rows,
+/// A(0:i+1, i+1:i+ib) −= Y(0:i+1, 0:ib−1)·V1ᵀ, where V1 is the unit lower
+/// triangle of the panel's reflectors in A(i+1:i+ib, i:i+ib−1). Overwrites
+/// Y(0:i+1, 0:ib−1) with Y·V1ᵀ.
+inline void fix_panel_top_rows(MatrixView<double> a, MatrixView<double> y, index_t i,
+                               index_t ib) {
+  blas::trmm(Side::Right, Uplo::Lower, Trans::Yes, Diag::Unit, 1.0,
+             MatrixView<const double>(a.block(i + 1, i, ib - 1, ib - 1)),
+             y.block(0, 0, i + 1, ib - 1));
+  for (index_t j = 0; j + 1 < ib; ++j) {
+    blas::axpy(-1.0, VectorView<const double>(y.block(0, j, i + 1, 1).col(0)),
+               a.block(0, i + 1 + j, i + 1, 1).col(0));
+  }
 }
 
 }  // namespace fth::lapack::detail

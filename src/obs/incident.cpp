@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "common/json.hpp"
+#include "obs/dag.hpp"
 #include "obs/trace.hpp"
 #include "obs/util.hpp"
 
@@ -179,6 +180,18 @@ std::string write_incident(const IncidentReport& rep) {
     return "";
   }
   return path;
+}
+
+void write_run_incident(IncidentReport& rep, const Registry::CounterValues& counters_base,
+                        std::vector<std::string>& paths) {
+  const auto now = Registry::global().counter_values();
+  for (const auto& [name, delta] : Registry::counter_delta(now, counters_base))
+    rep.metrics_delta.emplace_back(name, delta);
+  rep.journal = journal_snapshot(rep.run_id);
+  rep.flight_json = flight_tail_json(512);
+  rep.dag_json = dag::tail_json(128);
+  std::string path = write_incident(rep);
+  if (!path.empty()) paths.push_back(std::move(path));
 }
 
 void incident_init_from_env() {

@@ -30,6 +30,7 @@
 
 #include "obs/health.hpp"
 #include "obs/journal.hpp"
+#include "obs/metrics.hpp"
 
 namespace fth::json {
 class Value;
@@ -92,6 +93,15 @@ void incident_stop();
 /// `<dir>/fth_incident_run<run_id>_<seq>.json`. Returns the path, or ""
 /// when emission is disarmed or the write failed.
 std::string write_incident(const IncidentReport& rep);
+
+/// Attach the evidence every emitter gathers the same way — the counter
+/// delta since `counters_base`, the journal slice of `rep.run_id`, the
+/// flight-ring tail (512 events) and the DAG tail (128 nodes) — then write
+/// the capsule and append its path to `paths` when one was written. The
+/// caller fills what is its own first: trigger, who, run id, device,
+/// boundary, outcome, health and strikes.
+void write_run_incident(IncidentReport& rep, const Registry::CounterValues& counters_base,
+                        std::vector<std::string>& paths);
 
 /// Honour `FTH_INCIDENT=<dir>`. Idempotent; called from a static
 /// initializer like the other obs env hooks, and explicitly by fth_checkinfo.

@@ -680,21 +680,21 @@ struct SeededEdge {
 // driver is edited these update with it (the clean-tree golden below
 // catches drift the other way).
 const SeededEdge kSeeds[] = {
-    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 130, "'y_host'",
+    {"src/hybrid/hybrid_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 123, "'y_host'",
      1},
     {"src/hybrid/hybrid_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 131, "'a'", 1},
     // The only synchronize() left in the de-over-synchronized driver is
     // the hook-branch drain; deleting it breaks the host_view unwrap.
     {"src/hybrid/hybrid_sytrd.cpp", "s.synchronize();", "stream-not-idle", 118, "host_view", 1},
-    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 299, "'y_host_'", 1},
+    {"src/ft/ft_gehrd.cpp", "y_upper_ready.wait();", "transfer-race", 292, "'y_host_'", 1},
     // ft_gebrd: the wait also covers the fault-injection helper's host
     // write of a_, so its deletion surfaces that second race (at the
     // inject_at_boundary splice) alongside the pivot-restore one.
-    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 294, "'a_'", 2},
+    {"src/ft/ft_gebrd.cpp", "operands_shipped.wait();", "transfer-race", 287, "'a_'", 2},
     // The one inter-device edge of the pool driver's Y-top reduction:
     // without it the collector task reads stage_g_ while the producers'
     // d2h copies are still in flight (ISSUE 7 / DESIGN.md §13).
-    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 354,
+    {"src/ft/pool_gehrd.cpp", "sc.wait_event(shard_done);", "cross-stream-race", 468,
      "'stage_g_'", 1},
 };
 
@@ -762,6 +762,23 @@ bool has_finding(const std::vector<Finding>& f, const char* rule, int line) {
   for (const auto& x : f)
     if (x.rule == rule && x.line == line) return true;
   return false;
+}
+
+TEST(AnalyzeSeeded, APlainWaitInThePoolWaitPrimitiveIsCaughtAtEveryCaller) {
+  // pool_gehrd waits on a member in one place (DESIGN.md §13.3); an
+  // unbounded wait there is reported at each of the three call sites
+  // that wait on a member's Event: the liveness probe, the collector's
+  // reduce marker and the drain after a loss.
+  const auto f = run("src/ft/pool_gehrd.cpp",
+                     replaced(repo_file("src/ft/pool_gehrd.cpp"),
+                              "const bool ok = ev.wait_for(health_->allowed(dev));",
+                              "ev.wait(); const bool ok = true;"));
+  ASSERT_EQ(f.size(), 3u);
+  for (const auto& x : f) {
+    EXPECT_EQ(x.rule, "unbounded-pool-wait");
+    EXPECT_NE(x.message.find("via the summary of 'answered(...)'"), std::string::npos)
+        << x.message;
+  }
 }
 
 TEST(AnalyzeFixture, TheCleanLookaheadPipelineIsProvenSafe) {
@@ -1150,7 +1167,7 @@ TEST(AnalyzePerfSeeded, ReAddingTheGehrdLoopBottomBarrierIsCoarse) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), "++st.panels;",
                                    "++st.panels;\n        s.synchronize();"));
-  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 138))
+  EXPECT_TRUE(has_perf(f, "coarse-synchronize", 127))
       << "the pre-PR loop-bottom drain is re-flagged where it was removed";
 }
 
@@ -1169,7 +1186,7 @@ TEST(AnalyzePerfSeeded, DuplicatingTheGehrdTUploadIsADeadTransfer) {
   const auto f = run_perf("src/hybrid/hybrid_gehrd.cpp",
                           replaced(repo_file("src/hybrid/hybrid_gehrd.cpp"), t_h2d,
                                    t_h2d + "\n        " + t_h2d));
-  EXPECT_TRUE(has_perf(f, "dead-transfer", 92))
+  EXPECT_TRUE(has_perf(f, "dead-transfer", 87))
       << "the first T upload is overwritten before any device op reads it";
 }
 

@@ -83,10 +83,20 @@ TEST(PoolGehrd, SmallMatrixFallsBackToHost) {
 
 // ---- single-loss recovery ---------------------------------------------------
 
+/// Where the driver catches the loss, which fixes the expected
+/// panel_retries: a loss caught during the panel/Y-top phase restarts the
+/// iteration from its checkpoint once; one caught at the update boundary
+/// needs no retry. Stall and poison strikes are caught by the first wait or
+/// verify task queued behind the struck task; a hard death can also be
+/// seen earlier, by a DevicePool::lost check that races the worker, so
+/// the boundary cases avoid it.
+enum class CaughtIn { Panel, Boundary };
+
 struct LossCase {
   fault::LossKind kind;
-  int device;              ///< pool ordinal struck (2 = parity at D=3)
-  std::uint64_t countdown; ///< post-encode tasks on that member before firing
+  int device;               ///< pool ordinal struck (2 = parity at D=3)
+  std::uint32_t countdown;  ///< post-encode tasks on that member before firing
+  CaughtIn caught;          ///< phase that detects the loss
 };
 
 class PoolLoss : public ::testing::TestWithParam<LossCase> {};
@@ -115,6 +125,7 @@ TEST_P(PoolLoss, OneLossIsAbsorbedWithoutRollback) {
   EXPECT_EQ(rep.losses, 1);
   EXPECT_TRUE(rep.degraded);
   EXPECT_EQ(rep.lost_device, lc.device);
+  EXPECT_EQ(rep.panel_retries, lc.caught == CaughtIn::Panel ? 1 : 0);
   if (lc.device == 2) {
     // Parity member: nothing to reconstruct, the group just degrades.
     EXPECT_EQ(rep.reconstructions, 0);
@@ -134,12 +145,13 @@ TEST_P(PoolLoss, OneLossIsAbsorbedWithoutRollback) {
 
 INSTANTIATE_TEST_SUITE_P(
     KindsAndMembers, PoolLoss,
-    ::testing::Values(LossCase{fault::LossKind::HardDeath, 0, 9},
-                      LossCase{fault::LossKind::HardDeath, 2, 4},
-                      LossCase{fault::LossKind::PoisonOutput, 1, 7},
-                      LossCase{fault::LossKind::PoisonOutput, 0, 25},
-                      LossCase{fault::LossKind::SilentStall, 1, 12},
-                      LossCase{fault::LossKind::SilentStall, 2, 6}));
+    ::testing::Values(LossCase{fault::LossKind::HardDeath, 0, 9, CaughtIn::Panel},
+                      LossCase{fault::LossKind::HardDeath, 2, 4, CaughtIn::Panel},
+                      LossCase{fault::LossKind::PoisonOutput, 1, 7, CaughtIn::Panel},
+                      LossCase{fault::LossKind::PoisonOutput, 0, 25, CaughtIn::Panel},
+                      LossCase{fault::LossKind::SilentStall, 1, 12, CaughtIn::Panel},
+                      LossCase{fault::LossKind::SilentStall, 2, 6, CaughtIn::Boundary},
+                      LossCase{fault::LossKind::PoisonOutput, 2, 12, CaughtIn::Boundary}));
 
 // ---- health plane: slow-but-alive is never a loss ---------------------------
 

@@ -91,24 +91,57 @@ TEST(Robustness, MaxRetriesZeroFailsFastOnFault) {
 }
 
 TEST(Robustness, ExplicitThresholdHonored) {
+  // An explicit threshold is the detection tolerance in force, as given,
+  // for every code (sytrd and gebrd read the same FtSytrdOptions).
   hybrid::Device dev;
   const index_t n = 64;
-  Matrix<double> a = random_matrix(n, n, 5);
-  std::vector<double> tau(static_cast<std::size_t>(n - 1));
-  FtOptions opt;
-  opt.nb = 16;
-  opt.threshold = 1e6;  // absurdly lax: nothing can trip it
-  opt.final_sweep = false;
   fault::FaultSpec spec;
   spec.area = fault::Area::LowerTrailing;
   spec.boundary = 1;
   spec.relative = false;
   spec.magnitude = 1.0;  // below the lax threshold
-  fault::Injector inj(spec);
-  FtReport rep;
-  ft_gehrd(dev, a.view(), vec(tau), opt, &inj, &rep);
-  EXPECT_EQ(rep.detections, 0);
-  EXPECT_EQ(rep.threshold, 1e6);
+  const double lax = 1e6;  // absurdly lax: nothing can trip it
+  struct Code {
+    const char* name;
+    FtReport (*run)(hybrid::Device&, index_t, double, fault::Injector&);
+  };
+  const Code codes[] = {
+      {"gehrd",
+       [](hybrid::Device& d, index_t m, double thr, fault::Injector& inj) {
+         Matrix<double> a = random_matrix(m, m, 5);
+         std::vector<double> tau(static_cast<std::size_t>(m - 1));
+         FtReport rep;
+         ft_gehrd(d, a.view(), vec(tau), {.nb = 16, .threshold = thr, .final_sweep = false},
+                  &inj, &rep);
+         return rep;
+       }},
+      {"sytrd",
+       [](hybrid::Device& d, index_t m, double thr, fault::Injector& inj) {
+         Matrix<double> a = random_symmetric_matrix(m, 5);
+         const auto um = static_cast<std::size_t>(m);
+         std::vector<double> dg(um), e(um - 1), tau(um - 1);
+         FtReport rep;
+         ft_sytrd(d, a.view(), vec(dg), vec(e), vec(tau),
+                  {.nb = 16, .threshold = thr, .final_sweep = false}, &inj, &rep);
+         return rep;
+       }},
+      {"gebrd",
+       [](hybrid::Device& d, index_t m, double thr, fault::Injector& inj) {
+         Matrix<double> a = random_matrix(m, m, 5);
+         const auto um = static_cast<std::size_t>(m);
+         std::vector<double> dg(um), e(um - 1), tauq(um), taup(um);
+         FtReport rep;
+         ft_gebrd(d, a.view(), vec(dg), vec(e), vec(tauq), vec(taup),
+                  {.nb = 16, .threshold = thr, .final_sweep = false}, &inj, &rep);
+         return rep;
+       }},
+  };
+  for (const Code& code : codes) {
+    fault::Injector inj(spec);
+    const FtReport rep = code.run(dev, n, lax, inj);
+    EXPECT_EQ(rep.detections, 0) << code.name;
+    EXPECT_EQ(rep.threshold, lax) << code.name;
+  }
 }
 
 TEST(Robustness, SameDeviceReusedAcrossManyRuns) {
