@@ -127,6 +127,11 @@ void FaultPlane::unbind() {
   }
   if (pool != nullptr) {
     for (int d = 0; d < pool->size(); ++d) pool->stream(d).set_task_hook(nullptr);
+    // A task dequeued before the clear still runs the hook it was dequeued
+    // with; an escalating pool run can leave such tasks behind. Wait them
+    // out so no hook call outlives the plane.
+    for (int d = 0; d < pool->size(); ++d)
+      while (!pool->stream(d).idle()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 }
 

@@ -217,10 +217,6 @@ class PoolDriver {
   }
 
  private:
-  // Members are defined callee before caller: fth_analyze builds function
-  // summaries in definition order, so only a call to an earlier member is
-  // spliced into its caller's summary (DESIGN.md §11.3, §13.3).
-
   // --- setup -----------------------------------------------------------
 
   void allocate_workspaces() {
@@ -302,21 +298,22 @@ class PoolDriver {
 
   /// The one host wait on a pool member: `ev` within the health monitor's
   /// allowance, always an Event::wait_for so a lost member cannot hang the
-  /// host. Returns whether the member answered in time. A killed stream's
-  /// markers complete at once, so a true answer says nothing about
-  /// liveness; alive() adds that.
+  /// host. Returns whether the member answered in time. A killed stream
+  /// retires its discarded tasks at once, so a true answer says nothing
+  /// about liveness; `ev.doomed()` adds that.
   bool answered(int dev, const hybrid::Event& ev) {
     const double w0 = health_->wait_begin();
     const bool ok = ev.wait_for(health_->allowed(dev));
     return health_->wait_end(dev, w0, ok);
   }
 
-  /// Record a marker on `dev`'s stream and wait for it: true when the
-  /// member answered in time and is not quarantined.
+  /// Wait for everything queued on `dev`: true when the member answered in
+  /// time and ran all of it. A death is seen at the first wait covering
+  /// the struck task, on every run.
   bool alive(int dev) {
     hybrid::Stream& sd = pool_.stream(dev);
     const hybrid::Event ev = sd.record();
-    return answered(dev, ev) && !pool_.lost(dev);
+    return answered(dev, ev) && !ev.doomed();
   }
 
   /// The throwing form: a member that is not alive is lost.
@@ -351,9 +348,8 @@ class PoolDriver {
 
   /// Boundary health check: every active member recomputes its code-row
   /// gap on-device; the host collects with timeouts. Detects all three
-  /// loss kinds: timeout (stall), killed stream or NaN sentinel (hard
-  /// death — the marker completes but the verify task was discarded), and
-  /// gap over threshold (poison).
+  /// loss kinds: timeout (stall), doomed wait (hard death — the verify
+  /// task was discarded), and gap over threshold (poison).
   void verify_members() {
     for (int m = 0; m < active_count(); ++m) {
       const int dev = active_device(m);
@@ -480,7 +476,7 @@ class PoolDriver {
                });
     const hybrid::Event reduced = sc.record();
     for (int sl = 0; sl < Ddata_; ++sl) await_member(at(slot_dev_, sl));
-    if (!answered(cdev, reduced) || pool_.lost(cdev)) throw device_lost{cdev};
+    if (!answered(cdev, reduced) || reduced.doomed()) throw device_lost{cdev};
     blas::trmm(Side::Right, Uplo::Upper, Trans::No, Diag::NonUnit, 1.0,
                MatrixView<const double>(t_host_.block(0, 0, ib, ib)),
                y_host_.block(0, 0, i + 1, ib));

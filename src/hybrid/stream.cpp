@@ -1,7 +1,10 @@
 #include "hybrid/stream.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <cstring>
+#include <limits>
+#include <mutex>
+#include <optional>
 
 #include "check/access.hpp"
 #include "hybrid/device.hpp"
@@ -11,6 +14,8 @@
 namespace fth::hybrid {
 
 namespace {
+
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 
 /// DAG identities are never reused, unlike `this` pointers (see obs_id()).
 std::atomic<std::uint64_t> g_next_stream_obs_id{1};
@@ -30,58 +35,86 @@ void note_event_observed(const void* stream, std::uint64_t ticket) {
 
 }  // namespace
 
-bool Event::ready() const {
-  if (!state_) return true;  // default-constructed event is trivially ready
-  bool done = false;
-  {
-    std::lock_guard lock(state_->m);
-    done = state_->done;
-  }
-  if (done) note_event_observed(state_->stream, state_->ticket);
-  return done;
-}
+struct Timeline {
+  Timeline(const void* s, std::uint64_t id) : stream(s), obs_id(id) {}
 
-void Event::wait(std::source_location loc) const {
-  if (!state_) return;
-  {
-    // Named after its call site ("event_wait@file:line"): the profiler
-    // splits its wait phases by site, and the DAG attributes blocking to it.
-    obs::WaitSpan span("event_wait", loc, state_->stream_obs_id, state_->ticket);
-    std::unique_lock lock(state_->m);
-    state_->cv.wait(lock, [&] { return state_->done; });
-  }
-  note_event_observed(state_->stream, state_->ticket);
-}
+  std::mutex m;
+  std::condition_variable cv;      ///< notified when `retired` reaches wake_at
+  std::uint64_t retired = 0;       ///< every ticket ≤ this has retired
+  std::uint64_t killed_at = kNever;  ///< `retired` when kill() ran
+  std::uint64_t wake_at = kNever;  ///< lowest ticket a blocked waiter needs
+  const void* stream;              ///< checker identity; null once destroyed
+  const std::uint64_t obs_id;      ///< the stream's DAG identity
+};
 
-bool Event::wait_for(std::chrono::nanoseconds timeout, std::source_location loc) const {
-  if (!state_) return true;
+bool Event::reach(std::chrono::nanoseconds timeout, const char* kind,
+                  const std::source_location& loc) const {
+  if (!tl_) return true;  // default-constructed event is trivially ready
+  Timeline& tl = *tl_;
   bool done = false;
+  const void* stream = nullptr;
   {
-    obs::WaitSpan span("event_wait", loc, state_->stream_obs_id, state_->ticket);
-    std::unique_lock lock(state_->m);
-    done = state_->cv.wait_for(lock, timeout, [&] { return state_->done; });
+    std::optional<obs::WaitSpan> span;
+    if (kind != nullptr) span.emplace(kind, loc, tl.obs_id, ticket_);
+    const auto deadline = timeout == std::chrono::nanoseconds::max()
+                              ? std::chrono::steady_clock::time_point::max()
+                              : std::chrono::steady_clock::now() + timeout;
+    std::unique_lock lock(tl.m);
+    while (!(done = tl.retired >= ticket_) && timeout > std::chrono::nanoseconds::zero()) {
+      tl.wake_at = std::min(tl.wake_at, ticket_);
+      if (tl.cv.wait_until(lock, deadline) == std::cv_status::timeout) {
+        done = tl.retired >= ticket_;
+        break;
+      }
+    }
+    stream = tl.stream;
   }
   // A timed-out wait observed nothing: no happens-before edge, transfers
   // covered by this event stay in flight (the race detector stays sound
   // when the caller takes the loss-detection branch).
-  if (done) note_event_observed(state_->stream, state_->ticket);
+  if (done) note_event_observed(stream, ticket_);
   return done;
+}
+
+bool Event::ready() const {
+  return reach(std::chrono::nanoseconds::zero(), nullptr, std::source_location::current());
+}
+
+void Event::wait(std::source_location loc) const {
+  // Named after its call site ("event_wait@file:line"): the profiler
+  // splits its wait phases by site, and the DAG attributes blocking to it.
+  (void)reach(std::chrono::nanoseconds::max(), "event_wait", loc);
+}
+
+bool Event::wait_for(std::chrono::nanoseconds timeout, std::source_location loc) const {
+  return reach(timeout, "event_wait", loc);
+}
+
+bool Event::doomed() const {
+  if (!tl_) return false;
+  std::lock_guard lock(tl_->m);
+  return tl_->killed_at < ticket_;
 }
 
 Stream::Stream(Device* device)
     : device_(device),
       obs_id_(g_next_stream_obs_id.fetch_add(1, std::memory_order_relaxed)),
+      tl_(std::make_shared<Timeline>(this, obs_id_)),
       worker_([this] { worker_loop(); }) {}
 
 Stream::~Stream() {
   {
-    std::lock_guard lock(m_);
+    std::lock_guard lock(tl_->m);
     stop_ = true;
   }
   cv_worker_.notify_all();
   worker_.join();
   // Joining the drained worker is a host-side ordering of the whole stream.
   check::on_stream_destroyed(this, next_ticket_ - 1);
+  // Events may outlive the stream; they stop naming it to the checker,
+  // which may see the address again for a new stream.
+  std::lock_guard lock(tl_->m);
+  tl_->stream = nullptr;
 }
 
 std::uint64_t Stream::enqueue(const char* label, std::function<void()> task) {
@@ -110,11 +143,11 @@ std::uint64_t Stream::enqueue_task(Task&& t) {
   const char* label = t.label;
   std::uint64_t ticket = 0;
   {
-    std::lock_guard lock(m_);
+    std::lock_guard lock(tl_->m);
     ticket = next_ticket_++;
     t.ticket = ticket;
     queue_.push_back(std::move(t));
-    const std::uint64_t depth = queue_.size() + (busy_ ? 1 : 0);
+    const std::uint64_t depth = ticket - tl_->retired;  // queued + executing
     if (depth > peak_depth_) peak_depth_ = depth;
     obs::detail::enqueue(obs_id_, ticket, label, static_cast<double>(depth));
   }
@@ -123,19 +156,11 @@ std::uint64_t Stream::enqueue_task(Task&& t) {
 }
 
 void Stream::synchronize(std::source_location loc) {
-  std::uint64_t tail = 0;
-  {
-    std::unique_lock lock(m_);
-    // The wait's cause is the newest ticket at entry (same value on exit:
-    // the hybrid drivers are single-host-threaded). Recorded even when the
-    // queue is already drained — a zero-duration wait keeps the DAG's node
-    // counts (and the profile's call counts) deterministic.
-    tail = next_ticket_ - 1;
-    obs::WaitSpan span("synchronize", loc, obs_id_, tail);
-    cv_idle_.wait(lock, [&] { return queue_.empty() && !busy_; });
-  }
-  check::on_host_ordered(this, tail);
-  std::lock_guard lock(m_);
+  // The wait's cause is the newest ticket at entry. Recorded even when the
+  // queue is already drained — a zero-duration wait keeps the DAG's node
+  // counts (and the profile's call counts) deterministic.
+  (void)record().reach(std::chrono::nanoseconds::max(), "synchronize", loc);
+  std::lock_guard lock(tl_->m);
   if (pending_error_) {
     const std::exception_ptr e = pending_error_;
     pending_error_ = nullptr;
@@ -145,22 +170,9 @@ void Stream::synchronize(std::source_location loc) {
 
 Event Stream::record() {
   Event e;
-  e.state_ = std::make_shared<Event::State>();
-  auto state = e.state_;
-  // Pure marker: touches no matrix memory, so it declares the empty set.
-  const std::uint64_t ticket = enqueue("event_record", FTH_TASK_EFFECTS(), [state] {
-    {
-      std::lock_guard lock(state->m);
-      state->done = true;
-    }
-    state->cv.notify_all();
-  });
-  // Nobody else can observe the Event before record() returns, so filling
-  // in the checker identity after the enqueue is race-free (the marker
-  // task itself never reads these fields).
-  state->stream = this;
-  state->ticket = ticket;
-  state->stream_obs_id = obs_id_;
+  e.tl_ = tl_;
+  std::lock_guard lock(tl_->m);
+  e.ticket_ = next_ticket_ - 1;
   return e;
 }
 
@@ -171,47 +183,42 @@ void Stream::wait_event(const Event& e) {
 }
 
 bool Stream::idle() const {
-  std::lock_guard lock(m_);
-  return queue_.empty() && !busy_;
-}
-
-std::uint64_t Stream::tail_ticket() const {
-  std::lock_guard lock(m_);
-  return next_ticket_ - 1;
+  std::lock_guard lock(tl_->m);
+  return tl_->retired == next_ticket_ - 1;
 }
 
 std::uint64_t Stream::tasks_executed() const {
-  std::lock_guard lock(m_);
-  return executed_;
+  std::lock_guard lock(tl_->m);
+  return tl_->retired;
 }
 
 std::uint64_t Stream::peak_queue_depth() const {
-  std::lock_guard lock(m_);
+  std::lock_guard lock(tl_->m);
   return peak_depth_;
 }
 
 void Stream::reset_peak_queue_depth() {
-  std::lock_guard lock(m_);
-  peak_depth_ = queue_.size() + (busy_ ? 1 : 0);
+  std::lock_guard lock(tl_->m);
+  peak_depth_ = next_ticket_ - 1 - tl_->retired;
 }
 
 void Stream::set_task_hook(std::function<void(std::uint64_t)> hook) {
-  std::lock_guard lock(m_);
+  std::lock_guard lock(tl_->m);
   task_hook_ = std::move(hook);
 }
 
 void Stream::kill() {
   {
-    std::lock_guard lock(m_);
-    if (dead_) return;
-    dead_ = true;
+    std::lock_guard lock(tl_->m);
+    if (tl_->killed_at != kNever) return;
+    tl_->killed_at = tl_->retired;
   }
   cv_worker_.notify_all();
 }
 
 bool Stream::killed() const {
-  std::lock_guard lock(m_);
-  return dead_;
+  std::lock_guard lock(tl_->m);
+  return tl_->killed_at != kNever;
 }
 
 void Stream::worker_loop() {
@@ -225,9 +232,10 @@ void Stream::worker_loop() {
   bool holding = false;
   for (;;) {
     Task task;
+    std::function<void(std::uint64_t)> hook;
     bool dead = false;
     {
-      std::unique_lock lock(m_);
+      std::unique_lock lock(tl_->m);
       if (holding && queue_.empty()) {
         team->release();
         holding = false;
@@ -243,14 +251,13 @@ void Stream::worker_loop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      busy_ = true;
-      dead = dead_;
+      dead = tl_->killed_at != kNever;
+      if (!dead) hook = task_hook_;
     }
-    // A killed stream discards work instead of running it, but still
-    // completes event_record markers so host waits observe doom instead of
-    // hanging (see kill()). A discarded task is still recorded.
-    const bool run_task = !dead || std::strcmp(task.label, "event_record") == 0;
-    if (obs::TaskSpan span(task.label, obs_id_, task.ticket); run_task) {
+    // A killed stream discards work instead of running it; the discarded
+    // task is still recorded, and retires like any other (see kill()).
+    std::exception_ptr error;
+    if (obs::TaskSpan span(task.label, obs_id_, task.ticket); !dead) {
       try {
 #if FTH_CHECK_ENABLED
         check::TaskScope scope(this, task.label, task.ticket,
@@ -261,37 +268,32 @@ void Stream::worker_loop() {
 #endif
         task.fn();
       } catch (...) {
-        std::lock_guard lock(m_);
-        // Keep only the first error; later tasks still run (matching the
-        // "stream keeps executing" semantics of real runtimes).
-        if (!pending_error_) pending_error_ = std::current_exception();
+        error = std::current_exception();
       }
     }
-    std::function<void(std::uint64_t)> hook;
-    std::uint64_t task_index;
-    {
-      std::lock_guard lock(m_);
-      hook = task_hook_;
-      task_index = executed_;
-    }
-    if (hook && !dead) {
+    if (hook) {
       // Invoked between tasks, so the hook owns the device memory for the
       // duration of the call — same discipline as a task body.
       try {
         check::TaskScope scope(this, "task_hook", task.ticket, nullptr, dev_ordinal);
-        hook(task_index);
+        hook(task.ticket - 1);
       } catch (...) {
-        std::lock_guard lock(m_);
-        if (!pending_error_) pending_error_ = std::current_exception();
+        if (!error) error = std::current_exception();
       }
     }
+    bool wake = false;
     {
-      std::lock_guard lock(m_);
-      busy_ = false;
-      ++executed_;
+      std::lock_guard lock(tl_->m);
+      // Keep only the first error; later tasks still run (matching the
+      // "stream keeps executing" semantics of real runtimes).
+      if (error && !pending_error_) pending_error_ = error;
+      tl_->retired = task.ticket;
       obs::counter("stream.queue_depth", static_cast<double>(queue_.size()));
-      if (queue_.empty()) cv_idle_.notify_all();
+      wake = task.ticket >= tl_->wake_at;
+      if (wake) tl_->wake_at = kNever;
     }
+    // Outside the lock, so a woken waiter does not block on it at once.
+    if (wake) tl_->cv.notify_all();
   }
 }
 

@@ -7,9 +7,12 @@
 // checksum work with device-side trailing-matrix updates exactly as the
 // paper's Algorithm 3 does.
 //
-// Every task carries a label and a monotonically increasing ticket; both
-// feed fth::check (see check/access.hpp): the worker runs each task inside
-// a check::TaskScope (so device-view unwraps via .in_task() validate), and
+// Every task carries a label and a monotonically increasing ticket, and
+// each stream keeps one timeline: the highest ticket retired so far. An
+// Event is a position on that timeline (the ticket of the last task
+// enqueued before record()), not a task of its own. Both feed fth::check
+// (see check/access.hpp): the worker runs each task inside a
+// check::TaskScope (so device-view unwraps via .in_task() validate), and
 // Event::wait / Event::ready() / synchronize() report the happens-before
 // edges the host observes, which is what retires in-flight transfers in
 // the race detector.
@@ -22,7 +25,6 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <source_location>
 #include <thread>
 
@@ -32,12 +34,18 @@ namespace fth::hybrid {
 
 class Device;
 
-/// A host-visible marker of a point in a stream's task sequence.
+/// A stream's retired-ticket counter (stream.cpp), shared by the stream and
+/// every Event recorded on it so an Event never dangles.
+struct Timeline;
+
+/// A host-visible position in a stream's task sequence: a ticket on the
+/// stream's timeline. Copying one copies a pointer and a number; recording
+/// one enqueues nothing.
 class Event {
  public:
   Event() = default;
 
-  /// True once every task enqueued before the recording has finished.
+  /// True once every task enqueued before the recording has retired.
   /// Observing true from a host thread is a happens-before edge: it
   /// retires transfers enqueued at or before the recording ticket.
   [[nodiscard]] bool ready() const;
@@ -56,17 +64,21 @@ class Event {
       std::chrono::nanoseconds timeout,
       std::source_location loc = std::source_location::current()) const;
 
+  /// True when the stream was killed before this event's ticket retired:
+  /// some task it covers was discarded or cut short (Stream::kill). Fixed
+  /// once ready(), so every observer of a ready event reads the same value.
+  [[nodiscard]] bool doomed() const;
+
  private:
   friend class Stream;
-  struct State {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    const void* stream = nullptr;     ///< recording stream (checker identity)
-    std::uint64_t ticket = 0;         ///< ticket of the recording marker task
-    std::uint64_t stream_obs_id = 0;  ///< recording stream's DAG identity
-  };
-  std::shared_ptr<State> state_;
+  /// The one wait: until the ticket retires, for at most `timeout`; a
+  /// reached ticket is reported to fth::check. `kind` names the WaitSpan
+  /// (nullptr: a poll, no span).
+  bool reach(std::chrono::nanoseconds timeout, const char* kind,
+             const std::source_location& loc) const;
+
+  std::shared_ptr<Timeline> tl_;
+  std::uint64_t ticket_ = 0;
 };
 
 /// In-order asynchronous work queue executed by a dedicated worker thread.
@@ -101,20 +113,18 @@ class Stream {
   /// DAG recorder's blocking-edge attribution.
   void synchronize(std::source_location loc = std::source_location::current());
 
-  /// Record an event at the current tail of the queue.
+  /// Record an event at the current tail of the queue (enqueues nothing).
   [[nodiscard]] Event record();
 
   /// Make this stream wait (asynchronously) until `e` is ready before
   /// running subsequently enqueued tasks.
   void wait_event(const Event& e);
 
-  /// True when no task is queued or executing. (A snapshot: another thread
-  /// may enqueue immediately after. The hybrid drivers are single-host-
-  /// threaded, so the gate hybrid::host_view builds on this is sound.)
+  /// True when every enqueued task has retired. (A snapshot: another
+  /// thread may enqueue immediately after. The hybrid drivers are single-
+  /// host-threaded, so the gate hybrid::host_view builds on this is sound.)
+  /// Records no happens-before edge.
   [[nodiscard]] bool idle() const;
-
-  /// Ticket of the most recently enqueued task (0 if none yet).
-  [[nodiscard]] std::uint64_t tail_ticket() const;
 
   /// Device this stream belongs to (may be null for a free-standing stream).
   [[nodiscard]] Device* device() const noexcept { return device_; }
@@ -124,7 +134,7 @@ class Stream {
   /// recycle across sequentially constructed Devices).
   [[nodiscard]] std::uint64_t obs_id() const noexcept { return obs_id_; }
 
-  /// Number of tasks executed over the stream's lifetime.
+  /// Number of tasks retired (run or discarded) over the stream's lifetime.
   [[nodiscard]] std::uint64_t tasks_executed() const;
 
   /// Deepest backlog observed (tasks queued + the one executing) since
@@ -136,22 +146,25 @@ class Stream {
 
   /// Declare the simulated device behind this stream dead (hard-death
   /// strike, or quarantine after loss detection). Queued and future tasks
-  /// are discarded without running — except "event_record" markers, which
-  /// still complete so host Event waits on a dead stream return instead of
-  /// hanging (doom semantics, like a real runtime erroring-out pending
-  /// events). The task currently executing finishes; the worker thread
-  /// stays alive to drain the queue and the destructor joins as usual.
+  /// are discarded without running but still retire, so host Event waits
+  /// on a dead stream return instead of hanging; every Event whose ticket
+  /// had not retired yet is doomed() (like a real runtime erroring-out
+  /// pending events). The task currently executing finishes; the worker
+  /// thread stays alive to drain the queue and the destructor joins as
+  /// usual.
   void kill();
 
   /// True once kill() ran. Fault-plane stall hooks poll this so a blocked
   /// silent-stall unwinds when the driver quarantines the device.
   [[nodiscard]] bool killed() const;
 
-  /// Install a hook invoked on the worker thread after each task finishes
-  /// (argument: the task's lifetime index). Because it runs between tasks,
-  /// the hook may touch device memory without racing the task sequence —
-  /// the fault plane uses this to land in-flight corruptions. Pass nullptr
-  /// to clear. A hook that throws is treated like a failing task.
+  /// Install a hook invoked on the worker thread after each task finishes,
+  /// before it retires (argument: the task's lifetime index). The hook in
+  /// place when a task is dequeued is the one it runs. Because it runs
+  /// between tasks, the hook may touch device memory without racing the
+  /// task sequence — the fault plane uses this to land in-flight
+  /// corruptions. Pass nullptr to clear. A hook that throws is treated like
+  /// a failing task.
   void set_task_hook(std::function<void(std::uint64_t)> hook);
 
  private:
@@ -170,18 +183,15 @@ class Stream {
 
   Device* device_;
   const std::uint64_t obs_id_;  // initialized before worker_ starts
-  mutable std::mutex m_;
+  /// Shared with every recorded Event; its mutex guards the fields below.
+  const std::shared_ptr<Timeline> tl_;
   std::condition_variable cv_worker_;
-  std::condition_variable cv_idle_;
   std::deque<Task> queue_;
   std::function<void(std::uint64_t)> task_hook_;
   std::exception_ptr pending_error_;
   std::uint64_t next_ticket_ = 1;
-  std::uint64_t executed_ = 0;
   std::uint64_t peak_depth_ = 0;
-  bool busy_ = false;
   bool stop_ = false;
-  bool dead_ = false;  ///< kill() ran; see doom semantics above
   std::thread worker_;
 };
 

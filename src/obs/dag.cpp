@@ -40,9 +40,9 @@ Buffers collect(bool drain) {
   return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
-/// Device compute (as opposed to transfers / markers / the cross-stream
-/// wait task): the tasks the roofline scenario scales and the lookahead
-/// scenarios may leave in flight.
+/// Device compute (as opposed to transfers / FT bookkeeping / the
+/// cross-stream wait task): the tasks the roofline scenario scales and the
+/// lookahead scenarios may leave in flight.
 [[nodiscard]] bool is_dev_compute(std::string_view label) {
   return starts_with(label, "dev.") && label != "dev.wait_event";
 }
@@ -171,19 +171,6 @@ struct Assembler {
       if (g.nodes[i].stream == g.nodes[i - 1].stream)
         g.edges.push_back(
             Edge{static_cast<std::int64_t>(i - 1), static_cast<std::int64_t>(i), EdgeKind::Fifo});
-    }
-
-    // 5. An event_record task signals its Event from inside the task body,
-    //    so a dependent wait can wake a few µs before the worker ends the
-    //    task span. The signal is the task's true completion: clamp its end
-    //    down to the earliest dependent wake so every Cause edge satisfies
-    //    pred.t1 ≤ succ's CPM position (the CP ≤ wall invariant). Only
-    //    lowers t1, so the task's outgoing Fifo edges stay consistent.
-    for (const Edge& e : g.edges) {
-      if (e.kind != EdgeKind::Cause) continue;
-      Node& src = g.nodes[static_cast<std::size_t>(e.src)];
-      const Node& dst = g.nodes[static_cast<std::size_t>(e.dst)];
-      if (src.t1_us > dst.t1_us && dst.t1_us >= src.t0_us) src.t1_us = dst.t1_us;
     }
   }
 
@@ -742,10 +729,11 @@ Prediction simulate(const Graph& g, const Scenario& sc) {
     } else if (nd.kind == NodeKind::Wait) {
       double until = t;
       if (starts_with(nd.label, "event_wait")) {
-        // Event waits pin the host to a marker in the stream (the staging-
-        // buffer reuse guards, DESIGN.md §7 U2). A lookahead pipeline
-        // double-buffers those stages, so a wait on a recent update-phase
-        // marker disappears; everything else remains a hard dependency.
+        // Event waits pin the host to a position in the stream, the last
+        // task enqueued before the record (the staging-buffer reuse
+        // guards, DESIGN.md §7 U2). A lookahead pipeline double-buffers
+        // those stages, so a wait on a recent update-phase task
+        // disappears; everything else remains a hard dependency.
         bool elided = false;
         if (nd.cause >= 0) {
           // The newest update generation in flight at this wait: the wait's

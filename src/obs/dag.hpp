@@ -71,7 +71,7 @@ void mark(const char* label) noexcept;
 // --- Graph ------------------------------------------------------------------
 
 enum class NodeKind : std::uint8_t {
-  Task = 0,  ///< stream task (incl. h2d/d2h transfers and event_record markers)
+  Task = 0,  ///< stream task (incl. h2d/d2h transfers)
   Wait = 1,  ///< blocking host interval (synchronize / event_wait); CP point at t1
   Work = 2,  ///< host segment between two chain boundaries
   Span = 3,  ///< host TraceSpan (context only — no CP edges)

@@ -1,6 +1,7 @@
 // hybrid::Event semantics: record/wait ordering against the FIFO stream,
-// idempotent waits, waiting before the marker task has run, cross-stream
-// edges via wait_event, and the deterministic U2-race reproduction — the
+// idempotent waits, waiting before the recorded position has retired,
+// doom on a killed stream, cross-stream edges via wait_event, and the
+// deterministic U2-race reproduction — the
 // missing-Event bug from DESIGN.md §7 expressed as a checker violation, not
 // as a timing-dependent data corruption.
 #include <gtest/gtest.h>
@@ -32,7 +33,7 @@ TEST(Event, WaitObservesEveryTaskEnqueuedBeforeRecord) {
     s.enqueue("tick", [&done] { done.fetch_add(1); });
   Event e = s.record();
   e.wait();
-  // FIFO stream: the marker task runs only after all eight tasks.
+  // The event's ticket is the eighth task's: it retires after all eight.
   EXPECT_EQ(done.load(), 8);
   s.synchronize();
 }
@@ -46,8 +47,8 @@ TEST(Event, WaitBeforeMarkerRunsBlocksUntilRecorded) {
     while (!release.load()) std::this_thread::yield();
     task_ran.store(true);
   });
-  Event e = s.record();  // marker queued behind the gated task
-  EXPECT_FALSE(e.ready()) << "marker cannot have run while the gate blocks";
+  Event e = s.record();  // the gated task's ticket
+  EXPECT_FALSE(e.ready()) << "the gated task cannot have retired while the gate blocks";
 
   std::atomic<bool> waiter_done{false};
   std::thread waiter([&] {
@@ -57,7 +58,7 @@ TEST(Event, WaitBeforeMarkerRunsBlocksUntilRecorded) {
     waiter_done.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_FALSE(waiter_done.load()) << "wait() must block until the marker runs";
+  EXPECT_FALSE(waiter_done.load()) << "wait() must block until the gated task retires";
   release.store(true);
   waiter.join();
   EXPECT_TRUE(waiter_done.load());
@@ -79,6 +80,55 @@ TEST(Event, DoubleWaitAndReadyAreIdempotent) {
   Event copy = e;
   EXPECT_TRUE(copy.ready());
   copy.wait();
+  s.synchronize();
+}
+
+TEST(Event, RecordEnqueuesNothing) {
+  Device dev;
+  Stream& s = dev.stream();
+  Event before = s.record();  // ticket 0: nothing enqueued yet
+  EXPECT_TRUE(before.ready());
+  s.enqueue("tick", [] {});
+  for (int i = 0; i < 4; ++i) (void)s.record();
+  s.synchronize();
+  EXPECT_EQ(s.tasks_executed(), 1u) << "an Event is a ticket, not a task";
+}
+
+TEST(Event, OutlivesItsStream) {
+  Event e;
+  {
+    Stream s;
+    s.enqueue("tick", [] {});
+    e = s.record();
+  }
+  EXPECT_TRUE(e.ready());
+  EXPECT_TRUE(e.wait_for(std::chrono::seconds(0)));
+  EXPECT_FALSE(e.doomed());
+}
+
+TEST(Event, DoomedOnlyWhenKilledBeforeItsTicketRetired) {
+  Device dev;
+  Stream& s = dev.stream();
+  s.enqueue("done", [] {});
+  const Event retired = s.record();
+  retired.wait();
+  std::atomic<bool> release{false};
+  std::atomic<int> ran{0};
+  s.enqueue("gate", [&] {
+    while (!release.load()) std::this_thread::yield();
+  });
+  const Event gated = s.record();
+  s.enqueue("discarded", [&] { ran.fetch_add(1); });
+  const Event queued = s.record();
+  s.kill();  // the gate is executing, the next task is still queued
+  release.store(true);
+  EXPECT_TRUE(queued.wait_for(std::chrono::seconds(10)));
+  EXPECT_TRUE(gated.ready());
+  EXPECT_EQ(ran.load(), 0) << "a killed stream discards queued work";
+  EXPECT_FALSE(retired.doomed()) << "its ticket retired before the kill";
+  EXPECT_TRUE(gated.doomed()) << "the kill came before the gate retired";
+  EXPECT_TRUE(queued.doomed());
+  EXPECT_FALSE(Event{}.doomed());
   s.synchronize();
 }
 

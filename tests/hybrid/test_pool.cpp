@@ -61,7 +61,7 @@ TEST(DevicePool, CrossDeviceWaitEventOrdersConsumerAfterProducer) {
   int seen = -1;
   pool.stream(1).enqueue("test.consumer", [&] { seen = stage.load(); });
   pool.stream(1).synchronize();
-  EXPECT_EQ(seen, 1) << "consumer ran before the producer's Event marker";
+  EXPECT_EQ(seen, 1) << "consumer ran before the producer's Event";
   pool.stream(0).synchronize();
 }
 
@@ -97,15 +97,17 @@ TEST(DevicePool, MarkLostDiscardsQueuedWorkButCompletesEventMarkers) {
     cv.wait(lk, [&] { return release; });
   });
   s.enqueue("test.doomed", [&] { ran.fetch_add(1); });
-  const Event marker = s.record();
+  const Event queued = s.record();
   pool.mark_lost(1);
   {
     std::lock_guard<std::mutex> lk(m);
     release = true;
   }
   cv.notify_all();
-  // The marker must complete (host waits cannot hang on a dead member)…
-  EXPECT_TRUE(marker.wait_for(5s));
+  // The Event must complete (host waits cannot hang on a dead member) and
+  // read doomed…
+  EXPECT_TRUE(queued.wait_for(5s));
+  EXPECT_TRUE(queued.doomed());
   // …while the queued compute task was discarded, and the ledger updated.
   EXPECT_EQ(ran.load(), 0);
   EXPECT_TRUE(pool.lost(1));

@@ -79,7 +79,7 @@ TEST(Event, RecordsCompletionPoint) {
     stage = 1;
   });
   Event e = s.record();
-  EXPECT_FALSE(e.ready());  // the sleeping task is still ahead of the marker
+  EXPECT_FALSE(e.ready());  // the sleeping task has not retired yet
   e.wait();
   EXPECT_EQ(stage.load(), 1);
   EXPECT_TRUE(e.ready());

@@ -330,7 +330,7 @@ TEST(TeamLifecycle, KillAndDestroyWithParkedHelpersDoNotHang) {
     ASSERT_EQ(dev->team().helpers_started(), kMaxTeam - 1);
     std::this_thread::sleep_for(20ms);  // the drained device's helpers park
 
-    // Killed: queued work is discarded, event markers still complete.
+    // Killed: queued work is discarded but retires, so Events complete.
     s.kill();
     gemm_async(s, Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c.view());
     const Event e = s.record();
