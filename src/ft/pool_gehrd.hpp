@@ -12,8 +12,8 @@
 //              timeout (silent stall / hard death), and every iteration
 //              boundary verifies each member's code row (poisoned output);
 //   contain  — the lost member's stream is killed (DevicePool::mark_lost),
-//              which discards its queue but lets Event markers complete so
-//              no host wait can hang;
+//              which discards its queue but still retires it, so no host
+//              wait can hang and every Event covering it reads doomed();
 //   repair   — the lost shard is reconstructed on the host as
 //              parity − Σ survivors and remapped onto the parity device;
 //              the group is then degraded (no parity left). A loss detected
