@@ -3,6 +3,8 @@
 #include <benchmark/benchmark.h>
 
 #include "ft/checksum.hpp"
+#include "hybrid/dev_blas.hpp"
+#include "hybrid/device.hpp"
 #include "la/blas2.hpp"
 #include "la/blas3.hpp"
 #include "la/generate.hpp"
@@ -46,6 +48,30 @@ void BM_gemv(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_gemv)->Arg(256)->Arg(1024)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
+// The hybrid panel's product Y(:, j) = A·v on a default device's kernel
+// team, with y starting `phase` doubles (the argument, 0–7) into a cache
+// line, as a column of the panel's Y does. Each iteration is one launch
+// and its synchronize.
+void BM_team_gemv(benchmark::State& state) {
+  const index_t n = 1021;
+  const index_t phase = state.range(0);
+  hybrid::Device dev;
+  hybrid::Stream& s = dev.stream();
+  hybrid::DeviceMatrix<double> da(dev, n, n), dx(dev, n, 1), dy(dev, n + phase, 1);
+  hybrid::copy_h2d(s, random_matrix(n, n, 3).cview(), da.view());
+  hybrid::copy_h2d(s, random_matrix(n, 1, 4).cview(), dx.view());
+  const auto y = dy.view().col(0).sub(phase, n);
+  for (auto _ : state) {
+    hybrid::gemv_async(s, Trans::No, 1.0, da.view(), dx.view().col(0), 0.0, y);
+    s.synchronize();
+  }
+  const double dn = static_cast<double>(n);
+  state.counters["GFLOP/s"] = benchmark::Counter(
+      2.0 * dn * dn * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_team_gemv)->DenseRange(0, 7)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_larfb(benchmark::State& state) {
   const index_t m = state.range(0);

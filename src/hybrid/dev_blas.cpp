@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 
+#include "hybrid/blocks.hpp"
 #include "hybrid/device.hpp"
 #include "la/blas1.hpp"
 #include "la/blas2.hpp"
@@ -27,12 +28,16 @@ static_assert(kGateWork >= 2.0 * blas::detail::kGemmNaiveWork);
 // members the host or another process slowed down).
 constexpr double kMinChunkWork = 1 << 16;
 constexpr index_t kChunksPerMember = 4;
-// Row/column blocks start on multiples of this: a cache line of doubles,
-// and a multiple of gemm's kMR×kNR micro-tile so tiles of C reproduce the
-// serial micro-tile grid exactly.
-constexpr index_t kAlign = 8;
+// Row/column blocks start on multiples of a cache line of doubles (on
+// cache lines of the output's memory where chunks run along a unit-stride
+// y, blocks.hpp). No result depends on where a block starts: every
+// element of y or C gets the same operations in the same order under any
+// split (blas::detail::gemm_body's contract, symv_rows, gemv's column
+// sweep).
+constexpr index_t kAlign = detail::kLineDoubles;
 
-index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
+using detail::Blocks;
+using detail::ceil_div;
 
 /// How many chunks to cut `work` into on `team` (1 = run serially).
 index_t chunks_for(const Team& team, double work) {
@@ -41,17 +46,11 @@ index_t chunks_for(const Team& team, double work) {
   return std::max<index_t>(1, std::min<index_t>(by_work, kChunksPerMember * team.size()));
 }
 
-/// [0, n) cut into about `parts` blocks whose starts are multiples of `align`.
-struct Blocks {
-  Blocks(index_t n, index_t parts, index_t align)
-      : n(n), step(std::max<index_t>(align, ceil_div(ceil_div(n, parts), align) * align)),
-        count(ceil_div(n, step)) {}
-  [[nodiscard]] index_t begin(index_t c) const { return c * step; }
-  [[nodiscard]] index_t size(index_t c) const { return std::min(step, n - c * step); }
-  index_t n;
-  index_t step;
-  index_t count;
-};
+/// The line phase of a unit-stride output (blocks.hpp); 0 for a strided y,
+/// which no one phase describes.
+index_t phase_of(VectorView<double> y) {
+  return y.inc() == 1 ? detail::line_phase(y.data()) : 0;
+}
 
 /// The kernel team of the stream's device; a one-member team (run inline)
 /// for a free-standing stream.
@@ -121,9 +120,10 @@ void gemv(Team& team, Trans trans, double alpha, MatrixView<const double> a,
   FTH_CHECK(trans == Trans::No ? (x.size() == n && y.size() == m)
                                : (x.size() == m && y.size() == n),
             "gemv dimension mismatch");
-  // No-trans: y rows from row blocks of A; Trans: y entries from column
-  // blocks (each a dot product over a whole column).
-  const Blocks blocks(y.size(), parts, kAlign);
+  // No-trans: y rows from row blocks of A, each swept once per column of
+  // A; Trans: y entries from column blocks (each a dot product over a
+  // whole column, written once).
+  const Blocks blocks(y.size(), parts, kAlign, trans == Trans::No ? phase_of(y) : 0);
   team.run(blocks.count, [&](index_t c) {
     const index_t lo = blocks.begin(c);
     const index_t len = blocks.size(c);
@@ -193,7 +193,7 @@ void symv(Team& team, Uplo uplo, double alpha, MatrixView<const double> a,
   }
   FTH_CHECK(a.cols() == n, "symv requires a square matrix");
   FTH_CHECK(x.size() == n && y.size() == n, "symv dimension mismatch");
-  const Blocks blocks(n, parts, kAlign);
+  const Blocks blocks(n, parts, kAlign, phase_of(y));
   team.run(blocks.count, [&](index_t c) {
     const index_t r0 = blocks.begin(c);
     blas::detail::symv_rows(uplo, alpha, a, x, beta, y, r0, r0 + blocks.size(c));

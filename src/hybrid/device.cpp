@@ -24,7 +24,7 @@ void* Device::raw_allocate(std::size_t bytes, const char* site) {
   std::size_t peak = peak_.load();
   while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
   }
-  void* p = ::operator new(bytes);
+  void* p = ::operator new(bytes, kAlignment);
   check::on_device_alloc(p, bytes, site, cfg_.ordinal);
   return p;
 }
@@ -32,7 +32,7 @@ void* Device::raw_allocate(std::size_t bytes, const char* site) {
 void Device::raw_deallocate(void* p, std::size_t bytes) noexcept {
   check::on_device_free(p);
   in_use_.fetch_sub(bytes);
-  ::operator delete(p);
+  ::operator delete(p, kAlignment);
 }
 
 void Device::reset_transfer_stats() noexcept {

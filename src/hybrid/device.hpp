@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 
 #include "check/access.hpp"
@@ -66,9 +67,14 @@ class Device {
   /// Pool slot id (see DeviceConfig::ordinal).
   [[nodiscard]] int ordinal() const noexcept { return cfg_.ordinal; }
 
-  /// Allocate `bytes` of device memory (throws std::bad_alloc on limit).
-  /// `site` (a static or interned string) labels the allocation in checker
-  /// reports — pass the owning buffer's name.
+  /// Every allocation starts on a 64-byte cache line (cudaMalloc promises
+  /// at least 256 bytes), so a buffer's line layout, and with it how the
+  /// team kernels cut it (blocks.hpp), does not follow malloc's history.
+  static constexpr std::align_val_t kAlignment{64};
+
+  /// Allocate `bytes` of device memory (throws std::bad_alloc on limit),
+  /// aligned to kAlignment. `site` (a static or interned string) labels
+  /// the allocation in checker reports — pass the owning buffer's name.
   [[nodiscard]] void* raw_allocate(std::size_t bytes, const char* site = "device");
   void raw_deallocate(void* p, std::size_t bytes) noexcept;
 

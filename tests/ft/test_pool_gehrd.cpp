@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -98,6 +99,17 @@ struct LossCase {
   CaughtIn caught;          ///< phase that detects the loss
 };
 
+/// The case's test name, e.g. HardDeath_m0_c9_Panel: loss kind, struck
+/// member, countdown, and the phase that catches the loss.
+std::string loss_case_name(const ::testing::TestParamInfo<LossCase>& info) {
+  const LossCase& lc = info.param;
+  const char* kind = lc.kind == fault::LossKind::HardDeath      ? "HardDeath"
+                     : lc.kind == fault::LossKind::PoisonOutput ? "PoisonOutput"
+                                                                : "SilentStall";
+  return std::string(kind) + "_m" + std::to_string(lc.device) + "_c" +
+         std::to_string(lc.countdown) + (lc.caught == CaughtIn::Panel ? "_Panel" : "_Boundary");
+}
+
 class PoolLoss : public ::testing::TestWithParam<LossCase> {};
 
 TEST_P(PoolLoss, OneLossIsAbsorbedWithoutRollback) {
@@ -154,7 +166,8 @@ INSTANTIATE_TEST_SUITE_P(
                       LossCase{fault::LossKind::SilentStall, 2, 6, CaughtIn::Boundary},
                       LossCase{fault::LossKind::PoisonOutput, 2, 12, CaughtIn::Boundary},
                       LossCase{fault::LossKind::HardDeath, 0, 65, CaughtIn::Boundary},
-                      LossCase{fault::LossKind::HardDeath, 2, 13, CaughtIn::Boundary}));
+                      LossCase{fault::LossKind::HardDeath, 2, 13, CaughtIn::Boundary}),
+    loss_case_name);
 
 // ---- health plane: slow-but-alive is never a loss ---------------------------
 

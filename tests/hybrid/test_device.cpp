@@ -1,6 +1,7 @@
 // Device memory accounting, transfers, and the bandwidth cost model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <new>
 
 #include "common/timer.hpp"
@@ -35,6 +36,15 @@ TEST(Device, MemoryLimitEnforced) {
   EXPECT_EQ(dev.bytes_in_use(), 0u);
   DeviceMatrix<double> small(dev, 5, 5);  // 200 bytes: fits
   EXPECT_EQ(dev.bytes_in_use(), 200u);
+}
+
+TEST(Device, AllocationsStartOnACacheLine) {
+  Device dev;
+  for (const std::size_t bytes : {8u, 24u, 4096u, 1022u * 32u * 8u, 1023u * 1023u * 8u}) {
+    void* p = dev.raw_allocate(bytes);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 64, 0u) << bytes << " bytes";
+    dev.raw_deallocate(p, bytes);
+  }
 }
 
 TEST(Device, DeviceMatrixZeroInitialized) {

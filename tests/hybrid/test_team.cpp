@@ -6,11 +6,14 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <new>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/flops.hpp"
+#include "hybrid/blocks.hpp"
 #include "hybrid/dev_blas.hpp"
 #include "hybrid/device.hpp"
 #include "hybrid/pool.hpp"
@@ -38,9 +41,36 @@ constexpr int kMaxTeam = 4;
   return ::testing::AssertionSuccess();
 }
 
+/// A copy of a matrix in storage that starts on a 64-byte cache line, as a
+/// device buffer does (Device::kAlignment), so a test controls the line
+/// phase of every element.
+class LineAligned {
+ public:
+  explicit LineAligned(const Matrix<double>& m)
+      : rows_(m.rows()), cols_(m.cols()),
+        data_(static_cast<double*>(::operator new(bytes(), Device::kAlignment))) {
+    copy(m.cview(), view());
+  }
+  [[nodiscard]] MatrixView<double> view() const {
+    return MatrixView<double>(data_.get(), rows_, cols_, std::max<index_t>(1, rows_));
+  }
+
+ private:
+  struct Free {
+    void operator()(double* p) const { ::operator delete(p, Device::kAlignment); }
+  };
+  [[nodiscard]] std::size_t bytes() const {
+    return sizeof(double) * static_cast<std::size_t>(std::max<index_t>(1, rows_ * cols_));
+  }
+  index_t rows_;
+  index_t cols_;
+  std::unique_ptr<double, Free> data_;
+};
+
 /// Run `team_kernel(team, out)` and `serial_kernel(out)` on copies of
 /// `init` for every team size, asserting bit-identical outputs, that the
 /// team actually forked (size > 1), and that both count the same FLOPs.
+/// The team's copy starts on a cache line.
 template <class TeamKernel, class SerialKernel>
 void expect_identical(const Matrix<double>& init, TeamKernel team_kernel,
                       SerialKernel serial_kernel) {
@@ -54,11 +84,11 @@ void expect_identical(const Matrix<double>& init, TeamKernel team_kernel,
   for (int size = 1; size <= kMaxTeam; ++size) {
     SCOPED_TRACE("team size " + std::to_string(size));
     Team team(size);
-    Matrix<double> got = init;
+    const LineAligned got(init);
     flops::Scope scope;
     const std::uint64_t thread_before = flops::thread_count();
     team_kernel(team, got.view());
-    EXPECT_TRUE(bits_equal(got, want));
+    EXPECT_TRUE(bits_equal(Matrix<double>(MatrixView<const double>(got.view())), want));
     EXPECT_EQ(scope.delta(), want_flops);
     EXPECT_EQ(flops::thread_count() - thread_before, want_flops)
         << "helpers' FLOPs are credited to the dispatching thread";
@@ -119,6 +149,61 @@ TEST(TeamKernels, GemvBothWaysIncludingStridedVectors) {
           [&](MatrixView<double> y) {
             blas::gemv(trans, 1.3, a.cview(), x.cview().col(0), beta, y.row(1));
           });
+    }
+  }
+}
+
+TEST(TeamKernels, GemvAndSymvAtEveryLinePhaseOfY) {
+  // y starts `phase` doubles into a cache line, as the panel's y column
+  // does: the team cuts y on its lines, so the first chunk is short.
+  const Matrix<double> a = random_matrix(517, 397, 23);
+  const Matrix<double> x = random_matrix(a.cols(), 1, 24);
+  const index_t n = 389;
+  const Matrix<double> s = random_matrix(n, n, 25);
+  const Matrix<double> sx = random_matrix(n, 1, 26);
+  for (index_t phase = 0; phase < detail::kLineDoubles; ++phase) {
+    SCOPED_TRACE("phase " + std::to_string(phase));
+    expect_identical(
+        random_matrix(a.rows() + phase, 1, 27),
+        [&](Team& t, MatrixView<double> y) {
+          par::gemv(t, Trans::No, 1.3, a.cview(), x.cview().col(0), 0.5,
+                    y.col(0).sub(phase, a.rows()));
+        },
+        [&](MatrixView<double> y) {
+          blas::gemv(Trans::No, 1.3, a.cview(), x.cview().col(0), 0.5,
+                     y.col(0).sub(phase, a.rows()));
+        });
+    for (const Uplo uplo : {Uplo::Lower, Uplo::Upper})
+      expect_identical(
+          random_matrix(n + phase, 1, 28),
+          [&](Team& t, MatrixView<double> y) {
+            par::symv(t, uplo, -1.1, s.cview(), sx.cview().col(0), 0.25,
+                      y.col(0).sub(phase, n));
+          },
+          [&](MatrixView<double> y) {
+            blas::symv(uplo, -1.1, s.cview(), sx.cview().col(0), 0.25, y.col(0).sub(phase, n));
+          });
+  }
+}
+
+TEST(TeamBlocks, CoverEveryIndexOnceAndStartLaterChunksOnACacheLine) {
+  alignas(64) static double line[64];
+  for (const index_t n : {1, 7, 8, 9, 1021}) {
+    for (const index_t parts : {1, 3, 16}) {
+      for (index_t phase = 0; phase < detail::kLineDoubles; ++phase) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " parts=" << parts << " phase=" << phase);
+        const double* y = line + phase;  // index 0 of the output
+        const detail::Blocks blocks(n, parts, detail::kLineDoubles, detail::line_phase(y));
+        EXPECT_LE(blocks.count, parts + 1);
+        index_t next = 0;  // chunks are contiguous and in order
+        for (index_t c = 0; c < blocks.count; ++c) {
+          EXPECT_EQ(blocks.begin(c), next);
+          EXPECT_GT(blocks.size(c), 0);
+          if (c > 0) EXPECT_EQ(detail::line_phase(y + blocks.begin(c)), 0) << "chunk " << c;
+          next = blocks.begin(c) + blocks.size(c);
+        }
+        EXPECT_EQ(next, n);
+      }
     }
   }
 }
