@@ -73,6 +73,34 @@ void BM_team_gemv(benchmark::State& state) {
 }
 BENCHMARK(BM_team_gemv)->DenseRange(0, 7)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
+// The runtime layer: one host→device→host handoff with no work in it, on a
+// default device's stream. BM_stream_roundtrip enqueues an empty task and
+// synchronizes; BM_event_roundtrip enqueues one, records an Event behind
+// it and waits on that, as a panel column of Algorithm 2 does.
+void BM_stream_roundtrip(benchmark::State& state) {
+  hybrid::Device dev;
+  hybrid::Stream& s = dev.stream();
+  std::uint64_t runs = 0;
+  for (auto _ : state) {
+    s.enqueue("bench.empty", FTH_TASK_EFFECTS(), [&runs] { ++runs; });
+    s.synchronize();
+  }
+  benchmark::DoNotOptimize(runs);
+}
+BENCHMARK(BM_stream_roundtrip)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+void BM_event_roundtrip(benchmark::State& state) {
+  hybrid::Device dev;
+  hybrid::Stream& s = dev.stream();
+  std::uint64_t runs = 0;
+  for (auto _ : state) {
+    s.enqueue("bench.empty", FTH_TASK_EFFECTS(), [&runs] { ++runs; });
+    s.record().wait();
+  }
+  benchmark::DoNotOptimize(runs);
+}
+BENCHMARK(BM_event_roundtrip)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
 void BM_larfb(benchmark::State& state) {
   const index_t m = state.range(0);
   const index_t k = 32;

@@ -18,6 +18,7 @@
 // the race detector.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -189,9 +190,11 @@ class Stream {
   std::deque<Task> queue_;
   std::function<void(std::uint64_t)> task_hook_;
   std::exception_ptr pending_error_;
-  std::uint64_t next_ticket_ = 1;
+  /// Newest ticket enqueued. Written under the timeline mutex; atomic so
+  /// the idle worker can spin on it before it parks (hybrid/spin.hpp).
+  std::atomic<std::uint64_t> tail_{0};
   std::uint64_t peak_depth_ = 0;
-  bool stop_ = false;
+  std::atomic<bool> stop_{false};  ///< written under the timeline mutex
   std::thread worker_;
 };
 
