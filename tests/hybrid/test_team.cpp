@@ -17,6 +17,7 @@
 #include "hybrid/dev_blas.hpp"
 #include "hybrid/device.hpp"
 #include "hybrid/pool.hpp"
+#include "hybrid/spin.hpp"
 #include "la/blas2.hpp"
 #include "la/blas3.hpp"
 #include "la/generate.hpp"
@@ -396,7 +397,7 @@ TEST(TeamSizing, DevicePoolDividesTheCores) {
 
   // A pool of 3 asks for no more threads than the box has (one worker per
   // member at least).
-  const int cores = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int cores = detail::cores();
   DevicePool pool(PoolConfig{.devices = 3, .device = {}});
   int threads = 0;
   for (int d = 0; d < pool.size(); ++d) threads += pool.device(d).team().size();
